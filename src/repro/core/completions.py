@@ -480,8 +480,7 @@ class CxDispatcher:
     ) -> None:
         """Stamp the injection phase on this operation's span (no-op with
         observability off).  ``local`` is the locality the op has already
-        branched on — never re-derived here, so the memoized reachability
-        counters are untouched."""
+        branched on — never re-derived here."""
         self._target_rank = target_rank
         self._target_local = local
         if not local:
@@ -538,7 +537,9 @@ class CxDispatcher:
         span = self._span if event is Event.OPERATION else None
         if span is not None and span.t_transfer is None:
             span.t_transfer = ctx.clock.now_ns
-        for req in self.comps.by_event(event):
+        for req in self.comps.requests:
+            if req.event is not event:
+                continue
             if req.kind == _FUTURE:
                 if self._eager_allowed(req):
                     if vals:

@@ -19,11 +19,11 @@ atomics layers use shared-memory bypass after a reachability check — but
 every asynchronous operation (off-node RMA/AMO, every RPC) is an AM pair
 routed through this layer.
 
-Reachability checks are served from a per-rank node-id memo built once at
+Reachability checks are served from a per-rank node-id table built once at
 construction (the topology is static), so the check on every on-node
-fast-path operation is a pair of list indexes rather than repeated
-``World`` arithmetic; :data:`Conduit.pshm_cache_hits` counts lookups (see
-:func:`repro.sim.stats.pshm_cache_hits`).
+fast-path operation is a pair of tuple indexes rather than repeated
+``World`` arithmetic (:meth:`RankContext.is_local_rank
+<repro.runtime.context.RankContext.is_local_rank>` reads the same table).
 
 Small off-node AMs marked ``aggregatable`` by the operation layers are
 diverted to the rank's :class:`~repro.gasnet.aggregator.AmAggregator`
@@ -80,20 +80,16 @@ class Conduit:
             raise UpcxxError(
                 "the smp conduit supports single-node worlds only"
             )
-        #: static-topology memo: node id per rank (the topology never
-        #: changes after construction, so reachability is two list indexes)
+        #: static node table: node id per rank (the topology never changes
+        #: after construction, so reachability is two tuple indexes)
         self._node_of: tuple[int, ...] = tuple(
             world.node_of(r) for r in range(world.size)
         )
-        #: lookups served from the node-id memo (every check hits: the
-        #: memo is total over the static topology)
-        self.pshm_cache_hits = 0
 
     # -- reachability -----------------------------------------------------
 
     def _same_node(self, a: int, b: int) -> bool:
-        """Memoized ``world.same_node`` (counts towards the hit counter)."""
-        self.pshm_cache_hits += 1
+        """``world.same_node`` from the static node table."""
         nodes = self._node_of
         if 0 <= a < len(nodes) and 0 <= b < len(nodes):
             return nodes[a] == nodes[b]

@@ -65,17 +65,14 @@ class GlobalPtr:
         Charges one ``LOCALITY_BRANCH`` unless the build's
         ``constexpr_is_local_smp`` optimization applies (SMP conduit).
         """
-        from repro.runtime.context import current_ctx
-
         if ctx is None:
+            from repro.runtime.context import current_ctx
+
             ctx = current_ctx()
-        if self.is_null:
+        if self.rank < 0:  # null
             ctx.charge(CostAction.LOCALITY_BRANCH)
             return False
-        if not (
-            ctx.flags.constexpr_is_local_smp
-            and ctx.world.conduit_name == "smp"
-        ):
+        if ctx.charges_locality_branch:
             ctx.charge(CostAction.LOCALITY_BRANCH)
         return ctx.is_local_rank(self.rank)
 

@@ -84,8 +84,7 @@ def rpc(target: int, fn: Callable, *args,
     ctx.conduit.send_am(
         ctx, target, on_target, nbytes=nbytes, label="rpc", aggregatable=True
     )
-    # topology lookup only (no conduit memo traffic): spans must not
-    # perturb the pshm-reachability hit counters
+    # locality tag for the span: a topology lookup that charges nothing
     disp.mark_injected(
         target, nbytes, local=ctx.world.same_node(ctx.rank, target)
     )

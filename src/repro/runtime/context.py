@@ -52,6 +52,12 @@ class RankContext:
         self.config = config
         self.flags: FeatureFlags = config.resolved_flags()
         self.profile = profile
+        #: whether ``GlobalPtr.is_local`` pays a ``LOCALITY_BRANCH``: only
+        #: the 2021.3.6 ``constexpr is_local`` build on the smp conduit
+        #: compiles the check away (both fixed for the world's lifetime)
+        self.charges_locality_branch: bool = not (
+            self.flags.constexpr_is_local_smp and config.conduit == "smp"
+        )
         self.clock = VirtualClock()
         self.costs = CostModel(profile, self.clock)
         self.costs._ctx = self  # back-reference for tracing
@@ -200,13 +206,19 @@ class RankContext:
 
         All of the paper's experiments run on one node with PSHM, so in a
         simulated world this is true for every rank sharing our "node"
-        (the whole world unless the world was built multi-node).
+        (the whole world unless the world was built multi-node).  Answered
+        from the conduit's static node table; an out-of-range rank raises
+        :class:`~repro.errors.UpcxxError`.
         """
         conduit = self.conduit
-        if conduit is not None:
-            # served from the conduit's static-topology memo (counted)
-            return conduit.pshm_reachable(self.rank, rank)
-        return self.world.same_node(self.rank, rank)
+        if conduit is None:
+            return self.world.same_node(self.rank, rank)
+        nodes = conduit._node_of
+        if 0 <= rank < len(nodes):
+            return nodes[self.rank] == nodes[rank]
+        raise UpcxxError(
+            f"rank {rank} out of range (size {len(nodes)})"
+        )
 
     # -- AM aggregation -----------------------------------------------------
 

@@ -34,11 +34,6 @@ import enum
 from collections import Counter
 from typing import TYPE_CHECKING
 
-try:  # numpy backs the batched-count reduction; optional otherwise
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the standard image
-    _np = None
-
 from repro.sim.clock import UNITS_PER_NS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -49,7 +44,11 @@ _INV_UNITS = 1.0 / UNITS_PER_NS
 
 
 class CostAction(enum.Enum):
-    """Named runtime-internal actions with per-machine nanosecond costs."""
+    """Named runtime-internal actions with per-machine nanosecond costs.
+
+    Every member also carries ``idx``, a dense integer id: its position in
+    ``tuple(CostAction)``.
+    """
 
     # -- heap traffic ----------------------------------------------------
     HEAP_ALLOC_PROMISE_CELL = "heap_alloc_promise_cell"
@@ -147,11 +146,12 @@ class CostAction(enum.Enum):
     FUNCTION_CALL = "function_call"
 
 
-#: stable dense indexing of the action vocabulary, used by the batched
-#: per-rank count accumulators (a flat list indexes ~3× faster than a
-#: Counter keyed by enum members on the charge hot path)
 _ACTIONS: tuple[CostAction, ...] = tuple(CostAction)
-_ACTION_INDEX: dict[CostAction, int] = {a: i for i, a in enumerate(_ACTIONS)}
+# the cost model's per-action tables are flat lists indexed by ``idx``, so
+# the charge path never hashes an enum member
+for _i, _a in enumerate(_ACTIONS):
+    _a.idx = _i
+del _i, _a
 
 
 class CostModel:
@@ -167,15 +167,15 @@ class CostModel:
 
     Notes
     -----
-    Counting is always on (it is just a ``Counter`` update); it is what lets
-    tests make structural assertions independent of the tuned constants.
+    Every charge is counted; the counts are what let tests make structural
+    assertions independent of the tuned constants.
 
-    Per-action costs are precomputed at construction into two flat dicts —
-    exact integer clock units (the profile quantizes every cost to the
-    2\ :sup:`-20` ns grid, see :meth:`MachineProfile.cost_ns`) and their
-    float-nanosecond images — so the default charge path pays one dict
-    lookup and one integer clock add instead of a method call and a float
-    round-trip.
+    Per-action costs are precomputed at construction into two flat lists
+    indexed by :attr:`CostAction.idx` — exact integer clock units (the
+    profile quantizes every cost to the 2\ :sup:`-20` ns grid, see
+    :meth:`MachineProfile.cost_ns`) and their float-nanosecond images — so
+    a charge pays a list index and an integer add instead of a method call
+    and a float round-trip.
 
     With :meth:`enable_batching` (``FeatureFlags.cost_batching``) charges
     accumulate into a pending-units integer scalar and a dense per-action
@@ -187,36 +187,40 @@ class CostModel:
     associative, so reordering the folds cannot change the result.  The
     only remaining incompatibility is timing noise, whose jitter must be
     drawn per charge.
+
+    While batching is on and no :class:`~repro.sim.trace.Tracer` is
+    attached, a charge tests one precomputed flag and does three list/
+    integer operations (count, units, pending); :attr:`tracer` assignment
+    and :meth:`enable_batching` recompute that flag.
     """
 
     __slots__ = (
-        "profile", "clock", "counts", "enabled", "tracer", "_ctx",
+        "profile", "clock", "counts", "_tracer", "_ctx",
         "noise", "noise_rng", "noise_run_factor",
-        "_cost_ns", "_cost_units", "_batching", "_pending_units",
-        "_batch_counts",
+        "_cost_ns", "_cost_units", "_batching", "_fast",
+        "_pending_units", "_batch_counts",
     )
 
     def __init__(self, profile: "MachineProfile", clock: "VirtualClock"):
         self.profile = profile
         self.clock = clock
         self.counts: Counter[CostAction] = Counter()
-        self.enabled: bool = True
-        #: precomputed action -> integer clock units (resolves the
-        #: profile's NETWORK_LATENCY special case once, at construction;
-        #: exact because the profile quantizes to the unit grid)
-        self._cost_units: dict[CostAction, int] = {
-            a: round(profile.cost_ns(a) * UNITS_PER_NS) for a in _ACTIONS
-        }
+        #: action id -> integer clock units (resolves the profile's
+        #: NETWORK_LATENCY special case once, at construction; exact
+        #: because the profile quantizes to the unit grid)
+        self._cost_units: list[int] = [
+            round(profile.cost_ns(a) * UNITS_PER_NS) for a in _ACTIONS
+        ]
         #: the float-nanosecond image of ``_cost_units`` (exact — the grid
-        #: is dyadic), used for charge return values and the noise path
-        self._cost_ns: dict[CostAction, float] = {
-            a: u * _INV_UNITS for a, u in self._cost_units.items()
-        }
+        #: is dyadic), used by the noise path
+        self._cost_ns: list[float] = [u * _INV_UNITS for u in self._cost_units]
         self._batching: bool = False
+        #: batching on and no tracer attached: the one-branch charge path
+        self._fast: bool = False
         self._pending_units: int = 0
         self._batch_counts: list[int] = [0] * len(_ACTIONS)
         #: optional repro.sim.trace.Tracer recording the event timeline
-        self.tracer = None
+        self._tracer = None
         #: back-reference set by RankContext (used only for tracing)
         self._ctx = None
         #: relative timing jitter (0.0 = deterministic).  Noise is
@@ -230,6 +234,16 @@ class CostModel:
         #: component is what the top-10-of-N estimator filters out.
         self.noise_run_factor: float = 1.0
 
+    @property
+    def tracer(self):
+        """The attached :class:`~repro.sim.trace.Tracer` (or None)."""
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer) -> None:
+        self._tracer = tracer
+        self._fast = self._batching and tracer is None
+
     def _jitter(self, ns: float) -> float:
         if self.noise and self.noise_rng is not None and ns > 0:
             per_charge = 1.0 + self.noise * abs(self.noise_rng.gauss(0, 1))
@@ -238,57 +252,46 @@ class CostModel:
 
     def charge(self, action: CostAction, times: int = 1) -> float:
         """Charge ``times`` occurrences of ``action``; return ns charged."""
-        if not self.enabled:
-            return 0.0
-        if self._batching:
-            self._batch_counts[_ACTION_INDEX[action]] += times
-            units = self._cost_units[action] * times
-            if units:
-                self._pending_units += units
-            if self.tracer is not None and self._ctx is not None:
-                self.tracer.record(self._ctx, action, times)
+        if self._fast:
+            i = action.idx
+            self._batch_counts[i] += times
+            units = self._cost_units[i] * times
+            self._pending_units += units
             return units * _INV_UNITS
-        self.counts[action] += times
-        if self.noise:
-            ns = self._jitter(self._cost_ns[action] * times)
-            if ns:
-                self.clock.advance(ns)
-            if self.tracer is not None and self._ctx is not None:
-                self.tracer.record(self._ctx, action, times)
-            return ns
-        units = self._cost_units[action] * times
-        if units:
-            self.clock.advance_units(units)
-        if self.tracer is not None and self._ctx is not None:
-            self.tracer.record(self._ctx, action, times)
-        return units * _INV_UNITS
+        return self._charge_slow(action, times, times)
 
     def charge_bytes(self, action: CostAction, nbytes: int) -> float:
-        """Charge a per-byte action scaled by ``nbytes``."""
-        if not self.enabled:
-            return 0.0
-        if self._batching:
-            self._batch_counts[_ACTION_INDEX[action]] += 1
-            units = self._cost_units[action] * nbytes
-            if units:
-                self._pending_units += units
-            if self.tracer is not None and self._ctx is not None:
-                self.tracer.record(self._ctx, action, 1)
+        """Charge a per-byte action scaled by ``nbytes`` (counted once)."""
+        if self._fast:
+            i = action.idx
+            self._batch_counts[i] += 1
+            units = self._cost_units[i] * nbytes
+            self._pending_units += units
             return units * _INV_UNITS
-        self.counts[action] += 1
-        if self.noise:
-            ns = self._jitter(self._cost_ns[action] * nbytes)
-            if ns:
-                self.clock.advance(ns)
-            if self.tracer is not None and self._ctx is not None:
-                self.tracer.record(self._ctx, action, 1)
-            return ns
-        units = self._cost_units[action] * nbytes
-        if units:
-            self.clock.advance_units(units)
-        if self.tracer is not None and self._ctx is not None:
-            self.tracer.record(self._ctx, action, 1)
-        return units * _INV_UNITS
+        return self._charge_slow(action, 1, nbytes)
+
+    def _charge_slow(self, action: CostAction, count: int, scale: int) -> float:
+        """The batched-traced, noisy and unbatched charge paths: count
+        ``count`` occurrences and charge ``scale`` × the action's cost."""
+        if self._batching:
+            self._batch_counts[action.idx] += count
+            units = self._cost_units[action.idx] * scale
+            self._pending_units += units
+            ns = units * _INV_UNITS
+        else:
+            self.counts[action] += count
+            if self.noise:
+                ns = self._jitter(self._cost_ns[action.idx] * scale)
+                if ns:
+                    self.clock.advance(ns)
+            else:
+                units = self._cost_units[action.idx] * scale
+                if units:
+                    self.clock.advance_units(units)
+                ns = units * _INV_UNITS
+        if self._tracer is not None and self._ctx is not None:
+            self._tracer.record(self._ctx, action, count)
+        return ns
 
     # -- batched mode --------------------------------------------------------
 
@@ -309,6 +312,7 @@ class CostModel:
                 "(jitter is drawn per charge)"
             )
         self._batching = True
+        self._fast = self._tracer is None
         self.clock._flush_hook = self._flush_pending
 
     def _flush_pending(self) -> None:
@@ -322,16 +326,11 @@ class CostModel:
     def _merge_batched_counts(self) -> None:
         """Fold the dense batched count list into the ``counts`` Counter."""
         batch = self._batch_counts
-        if _np is not None:
-            nonzero = _np.nonzero(_np.asarray(batch, dtype=_np.int64))[0]
-        else:  # pragma: no cover - numpy-less fallback
-            nonzero = [i for i, c in enumerate(batch) if c]
-        if len(nonzero) == 0:
-            return
         counts = self.counts
-        for i in nonzero:
-            counts[_ACTIONS[i]] += batch[i]
-            batch[i] = 0
+        for i, c in enumerate(batch):
+            if c:
+                counts[_ACTIONS[i]] += c
+                batch[i] = 0
 
     # -- queries -------------------------------------------------------------
 

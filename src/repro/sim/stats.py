@@ -230,18 +230,6 @@ def serve_stats(world: "World"):
     return merge_serve_snapshots(snaps)
 
 
-def pshm_cache_hits(world: "World") -> int:
-    """Lookups served by the conduit's static-topology reachability memo.
-
-    The memo is built once at conduit construction, so every reachability
-    check (the on-node fast-path gate of RMA/AMO operations and the AM
-    routing decision) is a hit; this counter is how benchmarks verify the
-    fast path stayed on the memo rather than recomputing ``World``
-    arithmetic per operation.
-    """
-    return world.conduit.pshm_cache_hits
-
-
 @dataclass(frozen=True)
 class AggregationStats:
     """World-wide AM-aggregation counters (summed over ranks).

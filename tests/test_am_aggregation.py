@@ -28,7 +28,7 @@ from repro.runtime.config import RuntimeConfig, Version, flags_for
 from repro.runtime.context import current_ctx
 from repro.runtime.runtime import build_world, spmd_run
 from repro.sim.costmodel import CostAction
-from repro.sim.stats import aggregation_stats, pshm_cache_hits
+from repro.sim.stats import aggregation_stats
 
 VD, VE = Version.V2021_3_6_DEFER, Version.V2021_3_6_EAGER
 
@@ -203,13 +203,6 @@ class TestCostModel:
         assert s.entries_flushed == 6
         assert s.largest_bundle == 4
         assert s.mean_bundle_size == 3.0
-
-    def test_pshm_cache_hit_counter(self):
-        w = agg_world()
-        before = pshm_cache_hits(w)
-        w.conduit.pshm_reachable(0, 1)
-        w.conduit.pshm_reachable(0, 2)
-        assert pshm_cache_hits(w) == before + 2
 
 
 class TestCompletionGate:

@@ -10,10 +10,10 @@ from repro.gasnet.conduit import (
     make_conduit,
 )
 from repro.gasnet.team import Team
+from repro.memory.global_ptr import GlobalPtr
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.context import current_ctx
 from repro.runtime.runtime import build_world, spmd_run
-from repro.sim.stats import pshm_cache_hits
 
 
 def two_rank_world(conduit="smp", n_nodes=1):
@@ -116,16 +116,28 @@ class TestLatencyModel:
         with pytest.raises(UpcxxError):
             w.conduit.pshm_reachable(0, 9)
 
-    def test_pshm_cache_hits_counter(self):
-        """Reachability is served from the static-topology memo; every
-        lookup (reachability or latency) counts as a hit."""
-        w = build_world(RuntimeConfig(conduit="udp"), ranks=4, n_nodes=2)
-        start = pshm_cache_hits(w)
-        w.conduit.pshm_reachable(0, 1)
-        w.conduit.pshm_reachable(0, 2)
-        w.conduit.am_latency_ns(0, 3)
-        assert pshm_cache_hits(w) == start + 3
-        assert w.conduit.pshm_cache_hits == pshm_cache_hits(w)
+
+class TestRankLocality:
+    """``RankContext.is_local_rank`` reads the conduit's node table; it
+    must agree with the world's own topology arithmetic."""
+
+    def test_three_node_udp_oracle(self):
+        w = build_world(RuntimeConfig(conduit="udp"), ranks=6, n_nodes=3)
+        for ctx in w.contexts:
+            for r in range(w.size):
+                assert ctx.is_local_rank(r) == w.same_node(ctx.rank, r)
+                assert GlobalPtr(r, 0, "u64").is_local(ctx) == (
+                    w.same_node(ctx.rank, r)
+                )
+
+    def test_out_of_range_rank_rejected(self):
+        w = build_world(RuntimeConfig(conduit="udp"), ranks=6, n_nodes=3)
+        ctx = w.contexts[0]
+        for rank in (6, 9, -2):
+            with pytest.raises(UpcxxError):
+                ctx.is_local_rank(rank)
+        with pytest.raises(UpcxxError):
+            GlobalPtr(9, 0, "u64").is_local(ctx)
 
 
 class TestAmDelivery:

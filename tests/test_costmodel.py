@@ -1,9 +1,15 @@
 """Unit tests for the cost model and machine profiles."""
 
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.clock import VirtualClock
 from repro.sim.costmodel import CostAction, CostModel
+from repro.sim.trace import Tracer
 from repro.sim.machines import (
     GENERIC,
     IBM,
@@ -40,12 +46,6 @@ class TestCharge:
             100 * GENERIC.cost_ns(CostAction.MEMCPY_PER_BYTE)
         )
 
-    def test_disabled_model_charges_nothing(self, model):
-        model.enabled = False
-        assert model.charge(CostAction.HEAP_ALLOC_PROMISE_CELL) == 0.0
-        assert model.clock.now_ns == 0.0
-        assert model.count(CostAction.HEAP_ALLOC_PROMISE_CELL) == 0
-
     def test_snapshot_is_a_copy(self, model):
         model.charge(CostAction.CPU_LOAD)
         snap = model.snapshot()
@@ -59,6 +59,86 @@ class TestCharge:
         model.reset_counts()
         assert model.count(CostAction.CPU_LOAD) == 0
         assert model.clock.now_ns == t
+
+
+class TestDenseIds:
+    def test_ids_are_declaration_positions(self):
+        actions = tuple(CostAction)
+        assert [a.idx for a in actions] == list(range(len(actions)))
+        for a in actions:
+            assert actions[a.idx] is a
+
+    def test_members_keep_names_and_values(self):
+        assert CostAction.LOCALITY_BRANCH.value == "locality_branch"
+        assert CostAction("memcpy_8b") is CostAction.MEMCPY_8B
+
+
+#: one charge: (action, "times" | "bytes", times or nbytes)
+_charges = st.lists(
+    st.tuples(
+        st.sampled_from(tuple(CostAction)),
+        st.sampled_from(("times", "bytes")),
+        st.integers(0, 5000),
+    ),
+    max_size=60,
+)
+
+
+def _traced_model(batching: bool):
+    model = CostModel(INTEL, VirtualClock())
+    model._ctx = SimpleNamespace(rank=0, clock=model.clock)
+    if batching:
+        model.enable_batching()
+    return model
+
+
+def _apply(model, action, kind, n):
+    if kind == "times":
+        return model.charge(action, n)
+    return model.charge_bytes(action, n)
+
+
+class TestChargePaths:
+    """The one-branch batched path, the unbatched path and the traced
+    path are the same accounting: identical clock units, counts and
+    per-call return values for any charge sequence."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_charges, data=st.data())
+    def test_fast_unbatched_and_traced_paths_agree(self, ops, data):
+        attach = data.draw(st.integers(0, len(ops)))
+        detach = data.draw(st.integers(attach, len(ops)))
+        fast = _traced_model(batching=True)
+        plain = _traced_model(batching=False)
+        traced = _traced_model(batching=True)
+        always = Tracer()
+        always.attach(SimpleNamespace(costs=traced))
+        window = Tracer()
+        holder = SimpleNamespace(costs=fast)
+        for i, (action, kind, n) in enumerate(ops):
+            if i == attach:
+                window.attach(holder)
+            if i == detach:
+                window.detach(holder)
+            got = [_apply(m, action, kind, n) for m in (fast, plain, traced)]
+            assert got[0] == got[1] == got[2]
+        window.detach(holder)
+        assert fast._fast and not plain._fast and not traced._fast
+        clocks = [m.clock.now_ns for m in (fast, plain, traced)]
+        assert clocks[0] == clocks[1] == clocks[2]
+        expected = _expected_counts(ops)
+        for m in (fast, plain, traced):
+            assert m.snapshot() == expected
+        assert always.counts() == expected
+        assert len(always) == len(ops)
+        assert len(window) == detach - attach
+
+
+def _expected_counts(ops):
+    out = Counter()
+    for action, kind, n in ops:
+        out[action] += n if kind == "times" else 1
+    return out
 
 
 class TestProfiles:

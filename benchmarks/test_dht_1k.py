@@ -8,7 +8,6 @@ scheduler keeps the parked-rank bookkeeping O(1) per switch; the wall
 budget below blows up if a per-switch O(ranks) scan sneaks back in.
 """
 
-import dataclasses
 import time
 
 from benchmarks.conftest import bench_scale, write_figure
@@ -24,10 +23,6 @@ OPS_PER_RANK = 4
 #: generous wall budget for the full sweep; a scheduler hot-path
 #: regression at 1024 blocked-heavy ranks lands far beyond this
 SWEEP_BUDGET_S = 120.0
-
-
-def _event_flags(version):
-    return dataclasses.replace(flags_for(version), sched_event_loop=True)
 
 
 def test_dht_1k(benchmark, figure_dir):
@@ -46,7 +41,7 @@ def test_dht_1k(benchmark, figure_dir):
         )
         t0 = time.perf_counter()
         r = run_dht(cfg, ranks=ranks, version=ver, machine="intel",
-                    flags=_event_flags(ver))
+                    flags=flags_for(ver))
         wall = time.perf_counter() - t0
         assert r.correct, f"lookup misses at {ranks} ranks"
         rows.append([
@@ -79,7 +74,7 @@ def test_dht_1k(benchmark, figure_dir):
             ranks=256,
             version=ver,
             machine="intel",
-            flags=_event_flags(ver),
+            flags=flags_for(ver),
         ),
         rounds=3,
         iterations=1,

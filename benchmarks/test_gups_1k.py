@@ -1,6 +1,6 @@
 """Extension: 1024-rank GUPS on the event-loop scheduler.
 
-The thread-per-rank substrate capped every experiment at ~16 ranks (one OS
+A thread-per-rank scheduler caps an experiment at ~16 ranks (one OS
 thread per simulated rank); the event loop
 (:class:`~repro.runtime.event_loop.EventLoopScheduler`) runs all rank
 bodies as generator continuations on one thread, so this figure sweeps to
@@ -12,7 +12,6 @@ eager-vs-defer gain is per-operation CPU overhead and must persist at
 every rank count.
 """
 
-import dataclasses
 import time
 
 from benchmarks.conftest import bench_scale, write_figure
@@ -33,10 +32,6 @@ TOTAL_UPDATES = 4096
 SWEEP_BUDGET_S = 120.0
 
 
-def _event_flags(version):
-    return dataclasses.replace(flags_for(version), sched_event_loop=True)
-
-
 def test_gups_1k(benchmark, figure_dir):
     s = bench_scale()
     rows = []
@@ -54,7 +49,7 @@ def test_gups_1k(benchmark, figure_dir):
             t0 = time.perf_counter()
             cells[v] = run_gups(
                 cfg, ranks=ranks, version=v, machine="intel",
-                flags=_event_flags(v),
+                flags=flags_for(v),
             )
             walls[v] = time.perf_counter() - t0
         gain = cells[VD].solve_ns / cells[VE].solve_ns
@@ -101,7 +96,7 @@ def test_gups_1k(benchmark, figure_dir):
             ranks=256,
             version=VE,
             machine="intel",
-            flags=_event_flags(VE),
+            flags=flags_for(VE),
         ),
         rounds=3,
         iterations=1,

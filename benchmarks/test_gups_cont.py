@@ -21,7 +21,7 @@ deferred-notification build:
 
 from benchmarks.conftest import bench_scale, write_figure
 from repro.apps.gups import GupsConfig, run_gups
-from repro.bench.contbench import _mean_update_gap
+from repro.bench.ab import mean_update_gap
 from repro.bench.report import format_table
 from repro.runtime.config import Version, flags_for
 
@@ -53,8 +53,8 @@ def test_cont_gap_sweep(benchmark, figure_dir):
         assert fut.matches_oracle
         assert cont.matches_oracle
 
-        gap_f, n_f = _mean_update_gap(fut.obs_stats)
-        gap_c, n_c = _mean_update_gap(cont.obs_stats)
+        gap_f, n_f = mean_update_gap(fut.obs_stats)
+        gap_c, n_c = mean_update_gap(cont.obs_stats)
         assert n_f > 0 and n_c > 0
         # the headline claim: the callback path beats the future path on
         # mean notification gap at every sweep point

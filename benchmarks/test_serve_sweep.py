@@ -7,9 +7,7 @@ claims the full ``BENCH_serve.json`` headline rests on:
 * every (config, rate) cell completes with zero missing keys;
 * each swept config exhibits a p99 saturation knee within the rate grid;
 * the eager build's knee is at least as high as the deferred build's
-  (the paper's mechanism, restated as sustainable offered load);
-* the event-loop scheduler substrate is tick-identical to threads at
-  every swept rate (parity cells are asserted inside the sweep itself).
+  (the paper's mechanism, restated as sustainable offered load).
 """
 
 import time
@@ -55,11 +53,6 @@ def test_serve_quick_sweep(figure_dir):
     # the paper's claim as sustainable load: eager >= defer
     assert knees["eager"] >= knees["defer"]
     assert head["eager_over_defer_knee"] >= 1.0
-
-    # substrate parity was checked cell-by-cell inside the sweep
-    assert head["evloop_parity_rates_checked"] == len(
-        doc["sweep"]["rates_rps"]
-    )
 
     # the CI gate cell exists and reports a positive p99
     gate = head["gate"]

@@ -118,7 +118,7 @@ class DistributedHashMap:
         """Insert or update ``key`` (nonzero); waits for completion.
 
         Blocking wrapper over :meth:`insert_gen` — one implementation,
-        identical charge sequence on both scheduler substrates.
+        identical charge sequence whichever way the body is written.
         """
         return run_blocking(self.ctx, self.insert_gen(key, value, comps))
 
@@ -219,8 +219,8 @@ def _dht_keys(cfg: DhtConfig, rank: int) -> list[int]:
 def _dht_body_gen(cfg: DhtConfig):
     """The SPMD body as a generator continuation (``yield from`` at every
     blocking construct), so the event-loop scheduler resumes it in place;
-    :func:`_dht_body` drives this same generator on blocking substrates —
-    one body, both paths, identical charge sequences."""
+    :func:`_dht_body` drives this same generator through the blocking
+    primitives — one body, both paths, identical charge sequences."""
     ctx = current_ctx()
     me = rank_me()
     table = DistributedHashMap(cfg.log2_slots)
@@ -256,8 +256,8 @@ def _dht_body_gen(cfg: DhtConfig):
 
 
 def _dht_body(cfg: DhtConfig):
-    """Blocking form of the body (rides the thread-shim on the event-loop
-    substrate) — kept as the parity oracle for the continuation port."""
+    """Blocking form of the body (rides the thread shim) — the reference
+    the continuation port is compared against."""
     return run_blocking(current_ctx(), _dht_body_gen(cfg))
 
 
@@ -268,14 +268,11 @@ def run_dht(
     version: Version = Version.V2021_3_6_EAGER,
     machine: str = "intel",
     flags=None,
-    continuation: bool = True,
 ) -> DhtResult:
     """Run the DHT workload; correctness = every lookup hit.
 
-    ``continuation=True`` (default) passes the generator body so the
-    event-loop scheduler runs each rank as an in-place continuation;
-    ``False`` forces the blocking wrapper (thread-shim path) — the parity
-    tests compare the two.
+    Each rank runs the generator body as an in-place continuation on the
+    event loop.
     """
     total_keys = cfg.inserts_per_rank * ranks
     if total_keys * 2 > (1 << cfg.log2_slots):
@@ -284,9 +281,8 @@ def run_dht(
             f"({total_keys} keys, {1 << cfg.log2_slots} slots)"
         )
     seg = max(1 << 17, (1 << cfg.log2_slots) // ranks * 16 * 4)
-    body = _dht_body_gen if continuation else (lambda c: _dht_body(c))
     res = spmd_run(
-        body,
+        _dht_body_gen,
         args=(cfg,),
         ranks=ranks,
         version=version,

@@ -281,10 +281,7 @@ def _gups_body(cfg: GupsConfig):
     """The SPMD body; returns this rank's xor over its owned table part.
 
     Written as a generator continuation (``yield from`` at every blocking
-    construct) so the event-loop scheduler resumes it in place; under the
-    thread scheduler the rank thread's trampoline drives the same
-    generator through the blocking primitives — one body, both substrates,
-    identical charge sequences.
+    construct) so the event-loop scheduler resumes it in place.
     """
     ctx = current_ctx()
     me, p = rank_me(), rank_n()
@@ -537,8 +534,8 @@ def _run_cont(ctx, cfg, bases, per_rank, stream):
     shared done counter — no future or promise cell is allocated, and the
     completion never parks on the deferred queue: it dispatches at
     whichever agent first observes the ack.  The batch drain spins on the
-    counter (yielding to the scheduler between polls so the event-loop
-    substrate stays live), then runs the same idle polling segment as
+    counter (yielding to the scheduler between polls so the other ranks
+    stay live), then runs the same idle polling segment as
     ``prog_adaptive``.  Exactness as for ``prog_adaptive``: atomics never
     race within an update and every batch ends fully drained.
     """

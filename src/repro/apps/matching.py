@@ -191,8 +191,8 @@ class _RankSolver:
         optimization), RMA mailbox for co-located/remote processes.
 
         A generator (the slot claim blocks on a future) — every caller in
-        the solve chain is itself a generator, so the continuation
-        substrate resumes the whole stack in place via ``yield from``.
+        the solve chain is itself a generator, so the event loop resumes
+        the whole stack in place via ``yield from``.
         """
         if dst_rank == self.me:
             self.ctx.charge(CostAction.CPU_STORE)
@@ -306,7 +306,7 @@ class _RankSolver:
     def solve_gen(self):
         """The solve loop as a generator continuation (``yield from`` at
         every blocking construct); :meth:`solve` drives this same
-        generator on blocking substrates."""
+        generator through the blocking primitives."""
         ctx = self.ctx
         yield from barrier_gen()
         ctx.clock.mark("solve")
@@ -355,7 +355,8 @@ def _matching_body_gen(g: Graph, cfg: MatchingConfig):
 
 
 def _matching_body(g: Graph, cfg: MatchingConfig):
-    """Blocking SPMD body — the parity oracle for the continuation port."""
+    """Blocking SPMD body — the reference the continuation port is
+    compared against."""
     return _RankSolver(g, cfg).solve()
 
 
@@ -368,15 +369,12 @@ def run_matching(
     conduit: str = "mpi",
     graph: Optional[Graph] = None,
     flags=None,
-    continuation: bool = True,
 ) -> MatchingResult:
     """Run the distributed matching solve and collect the global result.
 
     ``conduit`` defaults to mpi, matching the paper's setup for this
-    application.  ``continuation=True`` (default) passes the generator
-    body so the event-loop scheduler runs each rank as an in-place
-    continuation; ``False`` forces the blocking wrapper (thread-shim
-    path) — the parity tests compare the two.
+    application.  Each rank runs the generator body as an in-place
+    continuation on the event loop.
     """
     g = graph if graph is not None else cfg.build_graph()
     incident_max = max(
@@ -386,11 +384,8 @@ def run_matching(
     seg_bytes = 8 * (
         4 * per * max(1, incident_max) + cfg.mailbox_slack + 4096
     )
-    body = _matching_body_gen if continuation else (
-        lambda gg, cc: _matching_body(gg, cc)
-    )
     res = spmd_run(
-        body,
+        _matching_body_gen,
         args=(g, cfg),
         ranks=ranks,
         version=version,

@@ -10,7 +10,6 @@ Reproduces any of the paper's figures without pytest:
     python -m repro.bench offnode
     python -m repro.bench sched --out BENCH_sched.json
     python -m repro.bench serve --out BENCH_serve.json
-    python -m repro.bench cont --out BENCH_cont.json
     python -m repro.bench ab --quick
     python -m repro.bench ab --spec eager_defer --gate
     python -m repro.bench validate
@@ -179,18 +178,10 @@ def cmd_sched(args) -> None:
     )
     head = doc["headline"]
     print(
-        f"storm speedup (event vs thread):   "
-        f"{head['storm_speedup_min']:.1f}x .. {head['storm_speedup_max']:.1f}x"
-    )
-    print(
-        f"blocked speedup (wake vs scan):    "
+        f"blocked speedup (wake vs scan): "
         f"{head['blocked_speedup_min']:.1f}x .. "
         f"{head['blocked_speedup_max']:.1f}x "
         f"({head['blocked_1024_wake_switches_per_s']} switches/s at 1024)"
-    )
-    print(
-        f"gups speedup (event vs thread):    "
-        f"{head['gups_speedup_min']:.1f}x .. {head['gups_speedup_max']:.1f}x"
     )
     print(f"wrote {out}")
 
@@ -218,30 +209,6 @@ def cmd_serve(args) -> None:
         )
     )
     print(f"\nwrote {out} (schema valid)")
-
-
-def cmd_cont(args) -> None:
-    from repro.bench.contbench import write_cont_bench
-
-    out = _resolve_artifact_out("cont", args)
-    doc = write_cont_bench(
-        out, quick=args.quick, progress=lambda m: print(m, flush=True)
-    )
-    head = doc["headline"]
-    for c in doc["comparisons"]:
-        print(
-            f"batch {c['batch']:>3}: future gap "
-            f"{c['future_mean_gap_ns']:.1f}ns, cont gap "
-            f"{c['cont_mean_gap_ns']:.1f}ns "
-            f"({c['gap_ratio']:.1f}x)"
-        )
-    print(
-        f"cont beats future at every batch: "
-        f"{head['cont_beats_future_all_batches']} "
-        f"(gap ratio {head['gap_ratio_min']:.1f}x .. "
-        f"{head['gap_ratio_max']:.1f}x)"
-    )
-    print(f"wrote {out}")
 
 
 def cmd_ab(args) -> None:
@@ -435,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sched",
-        help="scheduler substrate benchmark (thread vs event loop) "
+        help="scheduler benchmark (wake list vs predicate scan) "
         "-> BENCH_sched.json",
     )
     artifact_io(
@@ -455,17 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
         "rates/configs)",
     )
     p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "cont",
-        help="continuation vs future completion-path gap sweep "
-        "-> BENCH_cont.json",
-    )
-    artifact_io(
-        p, "cont",
-        "small sweep for CI smoke (fewer batches, fewer seeds)",
-    )
-    p.set_defaults(fn=cmd_cont)
 
     from repro.bench.ab import SPECS
 

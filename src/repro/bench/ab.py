@@ -302,39 +302,6 @@ def _wl_gups(*, point, axis, flags, version, seed, params):
     return _gups_cell(res)
 
 
-@workload("gups_gap_parity")
-def _wl_gups_gap_parity(*, point, axis, flags, version, seed, params):
-    """GUPS on *both* scheduler substrates with parity asserted
-    (checksums and virtual clocks bit-identical) — the contbench cell,
-    expressed as an engine workload.  Thread/event wall seconds ride in
-    the env section; every deterministic field comes from the thread run.
-    """
-    from repro.apps.gups import GupsConfig, run_gups
-
-    run_kw, cfg_kw, variant, by_flag = _gups_kwargs(point, axis, seed, params)
-    cfg = GupsConfig(variant=_pick_variant(variant, by_flag, flags), **cfg_kw)
-    out = {}
-    for sub, fl in (
-        ("thread", flags),
-        ("event", flags.replace(sched_event_loop=True)),
-    ):
-        t0 = time.perf_counter()
-        res = run_gups(cfg, version=version, flags=fl, **run_kw)
-        out[sub] = (time.perf_counter() - t0, res)
-    th_s, th_r = out["thread"]
-    ev_s, ev_r = out["event"]
-    if th_r.checksum != ev_r.checksum or th_r.solve_ns != ev_r.solve_ns:
-        raise AssertionError(
-            f"substrate parity broken on {cfg.variant}/{axis}={point} "
-            f"(checksum {th_r.checksum} vs {ev_r.checksum}, "
-            f"solve_ns {th_r.solve_ns} vs {ev_r.solve_ns})"
-        )
-    _verify_gups(th_r, cfg, axis, point, seed)
-    cell = _gups_cell(th_r)
-    cell["env"] = {"thread_s": round(th_s, 6), "event_s": round(ev_s, 6)}
-    return cell
-
-
 @workload("blocked_storm")
 def _wl_blocked_storm(*, point, axis, flags, version, seed, params):
     """The blocked-heavy barrier storm from ``schedbench`` (staggered
@@ -377,17 +344,13 @@ def run_cell(
     point,
     flags: FeatureFlags,
     seed: int,
-    params_override: Optional[dict] = None,
 ) -> tuple[dict, dict]:
     """Run one (point, arm, seed) cell of ``spec``; returns
     ``(cell, env)`` where ``cell`` holds the deterministic ``metrics`` /
     ``details`` and ``env`` the wall seconds plus any workload env
-    extras.  ``params_override`` lets a caller reuse a spec's workload
-    off-spec (contbench's promise rows); engine sweeps never pass it."""
+    extras."""
     fn = WORKLOADS[spec.workload]
     params = dict(spec.workload_params)
-    if params_override:
-        params.update(params_override)
     t0 = time.perf_counter()
     out = fn(
         point=point,
@@ -746,7 +709,7 @@ WAKE_SCAN = _register(ABSpec(
     seeds=(1,),
     quick_seeds=(1,),
     version=Version.V2021_3_6_EAGER,
-    base_overrides={"sched_event_loop": True, "sched_wake_list": False},
+    base_overrides={"sched_wake_list": False},
     toggle={"sched_wake_list": True},
     arm_a="scan",
     arm_b="wake",
@@ -768,7 +731,7 @@ CONT_FUTURE = _register(ABSpec(
         "never parked on the deferred queue); with it off the workload "
         "falls back to future-conjoined batches that park until a drain"
     ),
-    workload="gups_gap_parity",
+    workload="gups",
     axis="batch",
     points=(8, 16, 32, 64),
     quick_points=(16, 32),

@@ -1,37 +1,17 @@
-"""Scheduler substrate benchmark: thread token-passing vs the event loop.
+"""Scheduler benchmark: wake lists vs the predicate scan.
 
-Measures the two scheduling substrates
-(:class:`~repro.runtime.scheduler.CooperativeScheduler` and
-:class:`~repro.runtime.event_loop.EventLoopScheduler`) on two workload
-families and emits a machine-readable artifact (``BENCH_sched.json``):
+Measures the event-loop scheduler on a **blocked storm** and emits a
+machine-readable artifact (``BENCH_sched.json``): every rank loops over a
+barrier with staggered arrivals, so at any moment nearly every rank is
+*parked*.  This is the regime the wake-list scheduler
+(``FeatureFlags.sched_wake_list``) exists for: the legacy predicate-scan
+pick re-evaluates every blocked rank's predicate on every switch
+(O(blocked) per switch, O(ranks²) per barrier round), while the wake list
+promotes exactly the ranks whose completion event fired (O(1) per
+switch).  Rows compare wake-list on vs off at 16–1024 ranks.
 
-* **storm** — a pure switch-density microbenchmark: every rank yields in a
-  tight loop, so wall-clock is scheduler overhead and nothing else.  This
-  is the regime the event loop exists for (a switch is one generator
-  ``send`` instead of two thread context switches plus an Event
-  round-trip) and where its ≥5× speedup shows.
-* **blocked storm** — the blocked-heavy variant: every rank loops over a
-  barrier with staggered arrivals, so at any moment nearly every rank is
-  *parked*.  This is the regime the wake-list scheduler
-  (``FeatureFlags.sched_wake_list``) exists for: the legacy
-  predicate-scan pick re-evaluates every blocked rank's predicate on
-  every switch (O(blocked) per switch, O(ranks²) per barrier round),
-  while the wake list promotes exactly the ranks whose completion event
-  fired (O(1) per switch).  Rows compare wake-list on vs off on the
-  event-loop substrate at 16–1024 ranks; the plain **storm** rows above
-  are all-ready (nobody ever blocks) and guard the other side — the
-  wake-list bookkeeping must not slow the no-blocking fast path.
-* **gups** — the existing §IV-B sweep cells plus a strong-scaling
-  extension to 1024 ranks.  These rows are reported honestly: op-dense
-  GUPS wall-clock is dominated by simulating the RMA operations
-  themselves (identical Python work on both substrates), so the substrate
-  speedup there is bounded well below the storm numbers.  The event
-  loop's win on GUPS is capability, not per-cell wall-clock: 1024-rank
-  runs without 1024 OS threads.
-
-Every row cross-checks its two configurations (equal switch counts for
-the storms, equal checksums and virtual clocks for GUPS) — the benchmark
-doubles as a parity smoke test.
+Every row cross-checks its two configurations (equal switch counts) — the
+benchmark doubles as a wake-list parity smoke test.
 """
 
 from __future__ import annotations
@@ -40,43 +20,23 @@ import dataclasses
 import json
 import sys
 import time
-from typing import Optional
 
 from repro import barrier_gen, current_ctx, rank_me
-from repro.apps.gups import GupsConfig, run_gups
 from repro.runtime.config import Version, flags_for
 from repro.runtime.runtime import spmd_run
-from repro.runtime.switchpoints import YIELD_NOW
 from repro.sim.costmodel import CostAction
-
-#: (ranks, yields-per-rank) of the storm sweep; iteration counts shrink as
-#: ranks grow so each row stays in the same wall-clock ballpark
-STORM_SWEEP = ((16, 500), (64, 200), (256, 100), (1024, 50))
 
 #: (ranks, barrier-rounds) of the blocked-heavy sweep.  Rounds shrink as
 #: ranks grow, but note the scan's work per round *grows* with ranks —
 #: that growth is the measurement.
 BLOCKED_SWEEP = ((16, 200), (64, 80), (256, 30), (1024, 10))
 
-#: the existing §IV-B sweep cells (weak scaling, 16 ranks — op-bound) and
-#: the strong-scaling extension (fixed total updates spread over the ranks)
-GUPS_TOTAL_UPDATES = 4096
-
-
-def _storm_body(iters: int):
-    def body():
-        for _ in range(iters):
-            yield YIELD_NOW
-
-    return body
-
 
 def _time_spmd(fn, *, ranks, flags, repeats: int, **kw):
     """Best-of-``repeats`` wall-clock of one spmd_run; returns
-    (seconds, switches, result)."""
+    (seconds, switches)."""
     best = None
     switches = 0
-    result = None
     for _ in range(repeats):
         t0 = time.perf_counter()
         r = spmd_run(fn, ranks=ranks, flags=flags, **kw)
@@ -84,33 +44,7 @@ def _time_spmd(fn, *, ranks, flags, repeats: int, **kw):
         if best is None or dt < best:
             best = dt
             switches = r.world.sched_switches
-            result = r
-    return best, switches, result
-
-
-def storm_row(ranks: int, iters: int, *, repeats: int = 3) -> dict:
-    ver = Version.V2021_3_6_EAGER
-    base = flags_for(ver)
-    fl_ev = dataclasses.replace(base, sched_event_loop=True)
-    body = _storm_body(iters)
-    kw = dict(version=ver, machine="generic", segment_bytes=1 << 12)
-    th_s, th_sw, _ = _time_spmd(body, ranks=ranks, flags=base, repeats=repeats, **kw)
-    ev_s, ev_sw, _ = _time_spmd(body, ranks=ranks, flags=fl_ev, repeats=repeats, **kw)
-    if th_sw != ev_sw:
-        raise AssertionError(
-            f"storm parity: switch counts differ at {ranks} ranks "
-            f"(thread {th_sw}, event {ev_sw})"
-        )
-    return {
-        "ranks": ranks,
-        "yields_per_rank": iters,
-        "switches": ev_sw,
-        "thread_s": round(th_s, 6),
-        "event_s": round(ev_s, 6),
-        "speedup": round(th_s / ev_s, 2),
-        "thread_switches_per_s": round(th_sw / th_s),
-        "event_switches_per_s": round(ev_sw / ev_s),
-    }
+    return best, switches
 
 
 def _blocked_storm_body(rounds: int):
@@ -129,23 +63,18 @@ def _blocked_storm_body(rounds: int):
 def blocked_storm_row(ranks: int, rounds: int, *, repeats: int = 3) -> dict:
     """Wake-list vs predicate-scan on a blocked-heavy barrier storm.
 
-    Runs on the event-loop substrate (the thread substrate cannot reach
-    1024 ranks); the only variable is ``sched_wake_list``.  Switch counts
-    must match exactly — the wake list is a pure pick-mechanism swap."""
+    The only variable is ``sched_wake_list``.  Switch counts must match
+    exactly — the wake list is a pure pick-mechanism swap."""
     ver = Version.V2021_3_6_EAGER
     base = flags_for(ver)
-    fl_wake = dataclasses.replace(
-        base, sched_event_loop=True, sched_wake_list=True
-    )
-    fl_scan = dataclasses.replace(
-        base, sched_event_loop=True, sched_wake_list=False
-    )
+    fl_wake = dataclasses.replace(base, sched_wake_list=True)
+    fl_scan = dataclasses.replace(base, sched_wake_list=False)
     body = _blocked_storm_body(rounds)
     kw = dict(version=ver, machine="generic", segment_bytes=1 << 12)
-    sc_s, sc_sw, _ = _time_spmd(
+    sc_s, sc_sw = _time_spmd(
         body, ranks=ranks, flags=fl_scan, repeats=repeats, **kw
     )
-    wk_s, wk_sw, _ = _time_spmd(
+    wk_s, wk_sw = _time_spmd(
         body, ranks=ranks, flags=fl_wake, repeats=repeats, **kw
     )
     if sc_sw != wk_sw:
@@ -165,55 +94,6 @@ def blocked_storm_row(ranks: int, rounds: int, *, repeats: int = 3) -> dict:
     }
 
 
-def gups_row(
-    label: str,
-    cfg: GupsConfig,
-    *,
-    ranks: int,
-    version: Version,
-    machine: str = "intel",
-    conduit: Optional[str] = None,
-    n_nodes: int = 1,
-    repeats: int = 1,
-) -> dict:
-    base = flags_for(version)
-    fl_ev = dataclasses.replace(base, sched_event_loop=True)
-    out = {}
-    for sub, fl in (("thread", base), ("event", fl_ev)):
-        best = None
-        res = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            r = run_gups(
-                cfg, ranks=ranks, version=version, machine=machine,
-                conduit=conduit, n_nodes=n_nodes, flags=fl,
-            )
-            dt = time.perf_counter() - t0
-            if best is None or dt < best:
-                best, res = dt, r
-        out[sub] = (best, res)
-    th_s, th_r = out["thread"]
-    ev_s, ev_r = out["event"]
-    if th_r.checksum != ev_r.checksum or th_r.solve_ns != ev_r.solve_ns:
-        raise AssertionError(
-            f"gups parity: substrates disagree on {label!r} "
-            f"(checksum {th_r.checksum} vs {ev_r.checksum}, "
-            f"solve_ns {th_r.solve_ns} vs {ev_r.solve_ns})"
-        )
-    return {
-        "workload": label,
-        "ranks": ranks,
-        "variant": cfg.variant,
-        "version": version.value,
-        "updates_per_rank": cfg.updates_per_rank,
-        "batch": cfg.batch,
-        "thread_s": round(th_s, 6),
-        "event_s": round(ev_s, 6),
-        "speedup": round(th_s / ev_s, 2),
-        "solve_ns": th_r.solve_ns,
-    }
-
-
 def run_sched_bench(
     *, quick: bool = False, progress=None
 ) -> dict:
@@ -223,13 +103,7 @@ def run_sched_bench(
         if progress is not None:
             progress(msg)
 
-    storm_sweep = STORM_SWEEP[:3] if quick else STORM_SWEEP
     repeats = 1 if quick else 3
-    storm_rows = []
-    for ranks, iters in storm_sweep:
-        say(f"storm: {ranks} ranks x {iters} yields ...")
-        storm_rows.append(storm_row(ranks, iters, repeats=repeats))
-
     # quick mode still runs the 1024-rank blocked row: it is the CI
     # regression gate for wake-list switch throughput
     blocked_sweep = ((16, 60), (1024, 8)) if quick else BLOCKED_SWEEP
@@ -240,50 +114,13 @@ def run_sched_bench(
             blocked_storm_row(ranks, rounds, repeats=repeats)
         )
 
-    gups_rows = []
-    # the existing sweep's widest cells: 16 ranks, both variants x builds
-    sweep_ranks = (16,)
-    for ranks in sweep_ranks:
-        for variant in ("rma_promise", "rma_future"):
-            for ver in (Version.V2021_3_6_DEFER, Version.V2021_3_6_EAGER):
-                say(f"gups sweep: {variant} {ver.value} {ranks} ranks ...")
-                cfg = GupsConfig(
-                    variant=variant, table_log2=12,
-                    updates_per_rank=16 if quick else 64, batch=32,
-                )
-                gups_rows.append(gups_row(
-                    "sweep-iv-b", cfg, ranks=ranks, version=ver,
-                ))
-    # strong-scaling extension: fixed total updates, growing rank counts
-    scale_ranks = (256,) if quick else (64, 256, 1024)
-    for ranks in scale_ranks:
-        upr = max(1, GUPS_TOTAL_UPDATES // ranks)
-        say(f"gups strong-scaling: {ranks} ranks x {upr} updates ...")
-        cfg = GupsConfig(
-            variant="rma_promise", table_log2=12,
-            updates_per_rank=upr, batch=min(32, upr),
-        )
-        gups_rows.append(gups_row(
-            "strong-scaling", cfg, ranks=ranks,
-            version=Version.V2021_3_6_EAGER,
-        ))
-
-    storm_speedups = [r["speedup"] for r in storm_rows]
     blocked_speedups = [r["speedup"] for r in blocked_rows]
     blocked_top = max(blocked_rows, key=lambda r: r["ranks"])
-    gups_speedups = [r["speedup"] for r in gups_rows]
     doc = {
         "bench": "sched",
         "invocation": "python -m repro.bench sched",
         "python": sys.version.split()[0],
         "quick": quick,
-        "storm": {
-            "description": (
-                "pure switch-density microbenchmark (every rank yields in "
-                "a loop): wall-clock is scheduler substrate overhead only"
-            ),
-            "rows": storm_rows,
-        },
         "blocked_storm": {
             "description": (
                 "blocked-heavy barrier storm on the event-loop substrate: "
@@ -295,36 +132,13 @@ def run_sched_bench(
             ),
             "rows": blocked_rows,
         },
-        "gups": {
-            "description": (
-                "GUPS cells: the existing 16-rank sweep shape (op-bound — "
-                "both substrates execute identical per-op simulator work, "
-                "which dominates) and a strong-scaling extension to 1024 "
-                "ranks the thread substrate could not previously reach"
-            ),
-            "rows": gups_rows,
-        },
         "headline": {
-            "storm_speedup_min": min(storm_speedups),
-            "storm_speedup_max": max(storm_speedups),
             "blocked_speedup_min": min(blocked_speedups),
             "blocked_speedup_max": max(blocked_speedups),
             "blocked_1024_wake_switches_per_s": (
                 blocked_top["wake_switches_per_s"]
             ),
             "blocked_1024_speedup": blocked_top["speedup"],
-            "gups_speedup_min": min(gups_speedups),
-            "gups_speedup_max": max(gups_speedups),
-            "meets_5x_scheduler_bound": min(storm_speedups) >= 5.0,
-            "meets_5x_wake_list_bound": blocked_top["speedup"] >= 5.0,
-            "note": (
-                "the >=5x substrate speedup holds wherever scheduling "
-                "dominates wall-clock (storm rows, every rank count up to "
-                "1024); op-dense GUPS cells are bounded by per-op "
-                "simulator cost identical on both substrates, so their "
-                "speedup is honest but smaller — the event loop's GUPS "
-                "win is scale capability (1024 ranks on one thread)"
-            ),
         },
     }
     return doc

@@ -35,7 +35,7 @@ _ENV_EXACT = frozenset({"python", "invocation"})
 #: ``_s``-suffixed keys that are deterministic inputs, not wall seconds
 _DET_EXCEPTIONS = frozenset({"zipf_s"})
 
-_KNOWN_BENCHES = ("ab", "cont", "sched", "serve")
+_KNOWN_BENCHES = ("ab", "sched", "serve")
 
 
 def _is_wall_key(key: str) -> bool:
@@ -52,8 +52,9 @@ def is_environment_key(key: str) -> bool:
     """Whether a *legacy* artifact key carries environment-dependent data.
 
     Beyond the wall/interpreter markers this also classifies the legacy
-    speedup keys: the cont/sched docs' ``speedup`` / ``storm_speedup_*``
-    / ``meets_5x_*`` values are ratios of wall seconds.  (The A/B docs'
+    speedup keys: the sched doc's ``speedup`` / ``blocked_speedup_*``
+    values (and any ``meets_*`` bound on them) are ratios of wall
+    seconds.  (The A/B docs'
     ``speedup`` blocks are ratios of *virtual-time* metrics and live on
     the deterministic side — but those docs are split structurally and
     never consult this classifier.)
@@ -222,45 +223,24 @@ def _validate_ab(errors: list, doc: dict) -> None:
             )
 
 
-def _validate_cont(errors: list, doc: dict) -> None:
-    rows = doc.get("rows")
-    if not isinstance(rows, list) or not rows:
-        errors.append("no rows list")
-        return
-    for i, row in enumerate(rows):
-        missing = {
-            "variant", "batch", "solve_ns", "mean_gap_ns", "gap_count"
-        } - set(row)
-        if missing:
-            errors.append(f"rows[{i}]: missing {sorted(missing)}")
-    comps = doc.get("comparisons")
-    if not isinstance(comps, list) or not comps:
-        errors.append("no comparisons list")
-    if not isinstance(doc.get("headline"), dict):
-        errors.append("no headline object")
-
-
 def _validate_sched(errors: list, doc: dict) -> None:
-    for section in ("storm", "blocked_storm", "gups"):
-        sec = doc.get(section)
-        if not isinstance(sec, dict) or not isinstance(
-            sec.get("rows"), list
-        ) or not sec["rows"]:
-            errors.append(f"no {section}.rows list")
-    if not isinstance(doc.get("headline"), dict):
-        errors.append("no headline object")
-        return
     blocked = doc.get("blocked_storm")
-    if isinstance(blocked, dict) and isinstance(blocked.get("rows"), list):
+    if not isinstance(blocked, dict) or not isinstance(
+        blocked.get("rows"), list
+    ) or not blocked["rows"]:
+        errors.append("no blocked_storm.rows list")
+    else:
         for i, row in enumerate(blocked["rows"]):
             if not {"ranks", "switches"} <= set(row):
                 errors.append(f"blocked_storm.rows[{i}]: missing ranks/switches")
+    if not isinstance(doc.get("headline"), dict):
+        errors.append("no headline object")
 
 
 def validate_artifact(doc, path: str = "?") -> list:
     """Validate one artifact document; returns problems (empty = valid).
 
-    Common invariants apply to every bench kind; the four known kinds get
+    Common invariants apply to every bench kind; the known kinds get
     structural checks on the fields their CI gates read.  An unknown
     ``bench`` value fails — committed artifacts must be one of ours.
     """
@@ -288,8 +268,6 @@ def validate_artifact(doc, path: str = "?") -> list:
         errors.append("deterministic projection is empty")
     if bench == "ab":
         _validate_ab(errors, doc)
-    elif bench == "cont":
-        _validate_cont(errors, doc)
     elif bench == "sched":
         _validate_sched(errors, doc)
     elif bench == "serve":

@@ -69,7 +69,8 @@ class DeadlockError(UpcxxError):
 
 class SchedulerError(UpcxxError):
     """Internal cooperative-scheduler invariant violation or misuse (e.g.
-    calling a blocking API from a non-rank thread)."""
+    calling a blocking primitive inline from a continuation rank body
+    while another rank is runnable)."""
 
 
 class ProgressError(UpcxxError):

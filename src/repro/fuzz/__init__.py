@@ -20,7 +20,6 @@ from repro.fuzz.programs import (
 from repro.fuzz.runner import (
     CX_MODES,
     MODES,
-    SCHEDULERS,
     FuzzOutcome,
     check_program,
     mode_flags,
@@ -35,7 +34,6 @@ __all__ = [
     "program_to_json",
     "CX_MODES",
     "MODES",
-    "SCHEDULERS",
     "FuzzOutcome",
     "mode_flags",
     "run_program",

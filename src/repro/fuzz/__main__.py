@@ -26,13 +26,7 @@ from repro.fuzz.programs import (
     program_from_json,
     program_to_json,
 )
-from repro.fuzz.runner import (
-    CX_MODES,
-    MODES,
-    SCHEDULERS,
-    check_program,
-    run_program,
-)
+from repro.fuzz.runner import CX_MODES, MODES, check_program, run_program
 
 
 def _program_seed(seed: int, index: int) -> int:
@@ -86,12 +80,6 @@ def main(argv=None) -> int:
         "program JSON) instead of generating new ones",
     )
     parser.add_argument(
-        "--sched", choices=SCHEDULERS + ("both",), default="thread",
-        help="scheduler substrate to run on; 'both' additionally asserts "
-        "the event loop reproduces the thread scheduler exactly, clocks "
-        "included (default: thread)",
-    )
-    parser.add_argument(
         "--cx", nargs="+", choices=CX_MODES[1:], default=[],
         metavar="VARIANT",
         help="completion-kind swap variants (continuation, counter): each "
@@ -100,7 +88,6 @@ def main(argv=None) -> int:
         "reproduce that mode's future baseline (default: none)",
     )
     args = parser.parse_args(argv)
-    schedulers = SCHEDULERS if args.sched == "both" else (args.sched,)
     cx_modes = tuple(args.cx)
 
     if args.replay:
@@ -109,9 +96,7 @@ def main(argv=None) -> int:
         program = program_from_json(
             json.dumps(doc["program"] if "program" in doc else doc)
         )
-        mismatches = check_program(
-            program, schedulers=schedulers, cx_modes=cx_modes
-        )
+        mismatches = check_program(program, cx_modes=cx_modes)
         if mismatches:
             print(f"still mismatching: {mismatches}", file=sys.stderr)
             return 1
@@ -124,14 +109,12 @@ def main(argv=None) -> int:
         print(f"seed {seed}: {args.programs} programs ...", flush=True)
         for index in range(args.programs):
             program = generate_program(_program_seed(seed, index))
-            mismatches = check_program(
-                program, schedulers=schedulers, cx_modes=cx_modes
-            )
+            mismatches = check_program(program, cx_modes=cx_modes)
             if mismatches:
                 return _fail(args, seed, index, program, mismatches)
             if args.replay_every and index % args.replay_every == 0:
-                a = run_program(program, "adaptive", schedulers[0])
-                b = run_program(program, "adaptive", schedulers[0])
+                a = run_program(program, "adaptive")
+                b = run_program(program, "adaptive")
                 if a != b:
                     return _fail(
                         args, seed, index, program,
@@ -139,12 +122,8 @@ def main(argv=None) -> int:
                     )
                 if cx_modes:
                     cx = cx_modes[index % len(cx_modes)]
-                    a = run_program(
-                        program, "adaptive", schedulers[0], cx=cx
-                    )
-                    b = run_program(
-                        program, "adaptive", schedulers[0], cx=cx
-                    )
+                    a = run_program(program, "adaptive", cx=cx)
+                    b = run_program(program, "adaptive", cx=cx)
                     if a != b:
                         return _fail(
                             args, seed, index, program,
@@ -155,8 +134,7 @@ def main(argv=None) -> int:
     variants = 1 + len(cx_modes)
     print(
         f"OK: {total} programs x {len(MODES)} modes "
-        f"x {variants} cx variant(s) "
-        f"x {len(schedulers)} scheduler(s) agree ({dt:.1f}s)"
+        f"x {variants} cx variant(s) agree ({dt:.1f}s)"
     )
     return 0
 

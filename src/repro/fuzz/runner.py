@@ -37,8 +37,7 @@ makes identical choices):
 
 A swapped run must reproduce the future baseline's tables, values, and
 completion counts under every mode (clocks legitimately differ — the
-swap changes what is charged), and must itself be bit-identical across
-scheduler substrates, clocks included.
+swap changes what is charged).
 """
 
 from __future__ import annotations
@@ -78,10 +77,6 @@ CX_MODES = ("future", "continuation", "counter")
 #: future-tracked (gets/rpcs produce values the swap has no slot for;
 #: promise-tracked ops already share one notification object)
 _SWAPPABLE = ("put", "amo_xor", "amo_add")
-
-#: scheduler substrates a program can run on (must be indistinguishable —
-#: clocks included — for any program; the differential check enforces it)
-SCHEDULERS = ("thread", "event")
 
 
 def mode_flags(mode: str) -> tuple[Version, FeatureFlags]:
@@ -145,8 +140,8 @@ def _swap_plan(program: FuzzProgram, me: int, cx: str) -> dict:
     """Which (phase, serial) ops this rank swaps under ``cx``.
 
     A pure function of (program, rank, cx): the coin stream is seeded from
-    the program seed and rank only, so every mode/scheduler run of a given
-    swap variant makes identical choices — the differential comparison
+    the program seed and rank only, so every mode run of a given swap
+    variant makes identical choices — the differential comparison
     depends on it.  Roughly 3 in 4 eligible ops swap, leaving genuinely
     mixed future/continuation programs in the corpus.
     """
@@ -164,7 +159,6 @@ def _swap_plan(program: FuzzProgram, me: int, cx: str) -> dict:
 
 def _fuzz_body(program: FuzzProgram, cx: str = "future"):
     # a generator continuation: runs in place on the event-loop scheduler
-    # and through the rank thread's trampoline on the thread scheduler
     ctx = current_ctx()
     me = ctx.rank
     ranks = program.ranks
@@ -312,28 +306,15 @@ def _fuzz_body(program: FuzzProgram, cx: str = "future"):
 def run_program(
     program: FuzzProgram,
     mode: str,
-    scheduler: str = "thread",
     cx: str = "future",
 ) -> FuzzOutcome:
     """Execute ``program`` under ``mode``; a pure function of both.
-
-    ``scheduler`` picks the substrate: ``"thread"`` (one thread per rank)
-    or ``"event"`` (every rank a continuation on one event loop).  The
-    substrates are required to be observably identical — same tables,
-    values, completions, *and clocks* — so the outcome is a pure function
-    of (program, mode) alone.
 
     ``cx`` picks the completion-kind swap variant (see module docstring);
     non-baseline variants run with ``cx_continuations`` enabled and must
     reproduce the baseline's tables/values/completions under every mode.
     """
     version, flags = mode_flags(mode)
-    if scheduler == "event":
-        flags = flags.replace(sched_event_loop=True)
-    elif scheduler != "thread":
-        raise ValueError(
-            f"unknown scheduler {scheduler!r}; known: {SCHEDULERS}"
-        )
     if cx not in CX_MODES:
         raise ValueError(f"unknown cx variant {cx!r}; known: {CX_MODES}")
     if cx != "future":
@@ -360,7 +341,6 @@ def run_program(
 def check_program(
     program: FuzzProgram,
     modes: tuple[str, ...] = MODES,
-    schedulers: tuple[str, ...] = ("thread",),
     cx_modes: tuple[str, ...] = (),
 ) -> list[str]:
     """Run ``program`` under every mode; describe any disagreement.
@@ -368,25 +348,17 @@ def check_program(
     Returns an empty list when all modes agree on tables, values, and
     completion counts (clocks are exempt — they are the measurement).
 
-    With more than one entry in ``schedulers``, every mode additionally
-    runs on each extra substrate, and those runs must match the first
-    substrate's outcome *exactly* — clocks included — since the scheduler
-    swap is an implementation detail, not a semantic mode.
-
     ``cx_modes`` adds completion-kind swap variants ("continuation" /
     "counter"): each (mode, cx) run must reproduce that mode's future
     baseline on tables, values, and completion counts (clocks exempt —
-    the swap changes which actions are charged), and must itself be
-    bit-identical, clocks included, across the scheduler substrates.
+    the swap changes which actions are charged).
     """
-    outcomes = {
-        mode: run_program(program, mode, schedulers[0]) for mode in modes
-    }
+    outcomes = {mode: run_program(program, mode) for mode in modes}
     base_mode = modes[0]
     base = outcomes[base_mode]
     mismatches = []
 
-    def compare(other, ref, what: str, clocks: bool) -> None:
+    def compare(other, ref, what: str) -> None:
         if other.tables != ref.tables:
             mismatches.append(f"final memory differs: {what}")
         if other.values != ref.values:
@@ -396,33 +368,13 @@ def check_program(
                 f"completion counts differ: {what} "
                 f"({ref.completions} vs {other.completions})"
             )
-        if clocks and other.clock_ns != ref.clock_ns:
-            mismatches.append(f"virtual clocks differ: {what}")
 
     for mode in modes[1:]:
-        compare(outcomes[mode], base, f"{base_mode} vs {mode}", False)
-    for scheduler in schedulers[1:]:
-        for mode in modes:
-            other = run_program(program, mode, scheduler)
-            if other != outcomes[mode]:
-                mismatches.append(
-                    f"scheduler substrates disagree under {mode}: "
-                    f"{schedulers[0]} vs {scheduler}"
-                )
+        compare(outcomes[mode], base, f"{base_mode} vs {mode}")
     for cx in cx_modes:
         if cx == "future":
             continue
         for mode in modes:
-            swapped = run_program(program, mode, schedulers[0], cx=cx)
-            compare(
-                swapped, outcomes[mode],
-                f"{mode}/future vs {mode}/{cx}", False,
-            )
-            for scheduler in schedulers[1:]:
-                other = run_program(program, mode, scheduler, cx=cx)
-                if other != swapped:
-                    mismatches.append(
-                        "scheduler substrates disagree under "
-                        f"{mode}/{cx}: {schedulers[0]} vs {scheduler}"
-                    )
+            swapped = run_program(program, mode, cx=cx)
+            compare(swapped, outcomes[mode], f"{mode}/future vs {mode}/{cx}")
     return mismatches

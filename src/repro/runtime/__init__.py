@@ -2,11 +2,13 @@
 
 This package provides the machinery that stands in for the UPC++ runtime
 proper: per-rank state (:mod:`repro.runtime.context`), the cooperative
-scheduler that simulates one OS process per rank
-(:mod:`repro.runtime.scheduler`), the progress engine implementing the
-deferred-notification queue (:mod:`repro.runtime.progress`), and the
-version/feature configuration distinguishing the paper's three library
-builds (:mod:`repro.runtime.config`).
+scheduling policy that simulates one OS process per rank
+(:mod:`repro.runtime.scheduler`), the event loop that drives every rank
+on one thread (:mod:`repro.runtime.event_loop`), the progress engine
+implementing the deferred-notification queue
+(:mod:`repro.runtime.progress`), and the version/feature configuration
+distinguishing the paper's three library builds
+(:mod:`repro.runtime.config`).
 """
 
 from repro.runtime.config import FeatureFlags, RuntimeConfig, Version

@@ -97,8 +97,8 @@ class RankContext:
         #: adaptive progress controller; wired by the runtime only when
         #: ``flags.progress_adaptive`` is set (None → the static drain loop)
         self.progress_ctl: Optional["AdaptiveProgressController"] = None
-        #: either substrate — CooperativeScheduler (thread-per-rank) or
-        #: EventLoopScheduler; both expose yield_now/block_until
+        #: the driving EventLoopScheduler (yield_now/block_until), wired
+        #: by World.attach_scheduler
         self.scheduler: Optional["SchedulerCore"] = None
         #: precomputed gate for the wait-target machinery: with the flag
         #: off no target is ever pushed, so ``active_wait_target`` stays

@@ -1,27 +1,25 @@
-"""Single-threaded event-loop scheduler: every simulated rank on one loop.
+"""Rank scheduling: every simulated rank on one single-threaded event loop.
 
-The original substrate (:class:`~repro.runtime.scheduler.CooperativeScheduler`)
-gives each rank an OS thread and passes a run token between them — two
-thread context switches plus an Event round-trip per switch point, and one
-live thread per rank.  This module replaces the substrate, not the policy:
-rank bodies written as generators (yielding
+Rank bodies written as generators (yielding
 :class:`~repro.runtime.switchpoints.SwitchCommand` objects) are resumed in
-place by a single-threaded trampoline, so a switch costs one generator
-``send`` and a 1024-rank world needs zero extra threads.
+place by a trampoline on the calling thread, so a switch costs one
+generator ``send`` and a 1024-rank world needs zero extra threads — the
+lightweight-task-as-continuation design of many-task runtimes.
 
-Plain-function bodies still run through a per-rank *thread shim* — one
-helper thread driven by the same Event ping-pong the original scheduler
-used.  Functionally identical, none of the speedup: it exists so un-ported
-apps keep working under ``FeatureFlags.sched_event_loop``.
+Plain-function bodies run through a per-rank *thread shim*: one helper
+thread per rank, handing control to and from the loop through a pair of
+Events so that exactly one of them runs at any moment.  The shim turns a
+blocking primitive called on its thread into the same switch command a
+generator body would yield, so both kinds of body schedule identically.
 
 Every switch decision goes through :class:`SchedulerCore`'s
-promote-and-pick scan — the same code object the thread substrate calls —
-and the loop mirrors the token-passing control flow branch for branch
+promote-and-pick scan, and the loop keeps the token-passing control flow
+of the thread-per-rank scheduler it replaced, branch for branch
 (immediate-true predicates, conservative self-resume, the deadlock
 declaration in both the blocking and the finishing path, first-error-wins
-teardown).  Interleavings, virtual clocks, deadlock state dumps, and
-teardown behavior are therefore identical between substrates; the parity
-tests in ``tests/test_event_loop.py`` compare switch traces event by event.
+teardown).  ``tests/test_sched_golden.py`` holds switch traces, values,
+and clocks recorded from that scheduler, and the loop reproduces them
+exactly.
 """
 
 from __future__ import annotations
@@ -83,12 +81,12 @@ class _GenTask:
 
 
 class _ThreadShimTask:
-    """Compatibility shim: a plain-function rank body on a helper thread.
+    """A plain-function rank body on a helper thread.
 
     The loop and the shim thread hand control back and forth through a
-    pair of Events, exactly one of the two running at any moment — the
-    original token-passing cost, preserved so un-ported bodies behave
-    identically (just without the event loop's speedup).
+    pair of Events, exactly one of the two running at any moment: plain
+    bodies schedule exactly as generator bodies do, at the cost of two
+    thread switches per switch point.
     """
 
     kind = "shim"
@@ -149,7 +147,7 @@ class _ThreadShimTask:
             if isinstance(rv, GeneratorType):
                 # the body returned a continuation (e.g. a lambda wrapping
                 # a generator function): drive it here, on the blocking
-                # substrate this shim provides
+                # primitives this shim provides
                 rv = run_blocking(self._ctx, rv)
         except BaseException as exc:  # noqa: BLE001 - routed to teardown
             set_current_ctx(None)
@@ -164,8 +162,7 @@ class _ThreadShimTask:
 class EventLoopScheduler(SchedulerCore):
     """All ranks of one simulated job multiplexed onto the calling thread.
 
-    Usage (done by :func:`repro.runtime.runtime.spmd_run` when
-    ``FeatureFlags.sched_event_loop`` is set)::
+    Usage (done by :func:`repro.runtime.runtime.spmd_run`)::
 
         sched = EventLoopScheduler(ranks)
         results = sched.run(world, fn, args)
@@ -186,7 +183,6 @@ class EventLoopScheduler(SchedulerCore):
         self._tasks: list = [None] * nranks
         self._results: list = [None] * nranks
         self._contexts: Optional[list] = None
-        self._loop_thread: Optional[threading.Thread] = None
 
     # -- context-facing API (reached through RankContext) -------------------
 
@@ -196,7 +192,7 @@ class EventLoopScheduler(SchedulerCore):
             task.post_cmd(YIELD_NOW)
             return
         # inline call from a continuation task: legal only when no actual
-        # switch would happen (mirrors the thread substrate's fast return)
+        # switch would happen (the no-peer fast return)
         if self._switch_trace is not None:
             self._switch_trace.append(("yield", rank))
         if self._pick_next(rank, include_self=False) is None:
@@ -226,15 +222,13 @@ class EventLoopScheduler(SchedulerCore):
     def run(self, world, fn, args: Sequence[Any] = ()) -> list:
         """Run ``fn(*args)`` on every rank to completion; return per-rank
         results (the first failure is recorded, not raised — the caller
-        checks :meth:`first_error`, mirroring the thread driver)."""
+        checks :meth:`first_error`)."""
         if self._started:
             raise SchedulerError("scheduler already started")
         self._started = True
         # wire the wake fabric: completion sites notify this loop and every
-        # ctx routes blocking through it.  spmd_run already attached when it
-        # built the loop (idempotent); for a nested/ambient world driven
-        # directly this is what keeps wake-list scheduling on instead of
-        # the old silent predicate-scan fallback.
+        # ctx routes blocking through it (idempotent for a world already
+        # attached to this loop)
         world.attach_scheduler(self)
         contexts = world.contexts
         self._contexts = contexts
@@ -244,7 +238,6 @@ class EventLoopScheduler(SchedulerCore):
                 self._tasks[r] = _GenTask(fn(*args))
             else:
                 self._tasks[r] = _ThreadShimTask(r, contexts[r], fn, args)
-        self._loop_thread = threading.current_thread()
         prev_ctx = current_ctx_or_none()
         try:
             self._drive(contexts)
@@ -274,14 +267,14 @@ class EventLoopScheduler(SchedulerCore):
                 if type(cmd) is BlockUntil:
                     pred = cmd.wake_when
                     if pred():
-                        continue  # immediate-true: no switch (thread parity)
+                        continue  # immediate-true: no switch
                     if trace is not None:
                         trace.append(("block", cur))
                     self._enter_blocked(cur, pred, cmd.wake)
                     nxt = self._pick_next(cur, include_self=True)
                     if nxt == cur:
                         # own predicate turned true during the scan —
-                        # conservatively re-run (thread parity)
+                        # conservatively re-run
                         states[cur] = _READY
                         preds[cur] = None
                         continue
@@ -329,9 +322,8 @@ class EventLoopScheduler(SchedulerCore):
 
     def _deadlock_unwind(self, cur: int) -> None:
         """Deadlock declared at ``cur``'s blocking switch point: the
-        declaring rank sees the original state-dump error at its blocking
-        call (thread substrate: ``_declare_deadlock`` raises in place);
-        every other live rank sees the teardown wrap."""
+        declaring rank sees the state-dump error raised at its blocking
+        call; every other live rank sees the teardown wrap."""
         if self._switch_trace is not None:
             self._switch_trace.append(("deadlock", tuple(self._states)))
         exc = self._deadlock_error()
@@ -355,17 +347,17 @@ class EventLoopScheduler(SchedulerCore):
         self._teardown(skip=cur)
 
     def _teardown(self, skip: Optional[int]) -> None:
-        """Unwind every live rank with the teardown error (rank order —
-        the thread substrate wakes them in OS order, but unwinds touch
-        only per-rank state, so the order is unobservable)."""
+        """Unwind every live rank with the teardown error, in rank order
+        (unwinds touch only per-rank state, so the order is unobservable
+        in results and clocks)."""
         states = self._states
         for r in range(self.nranks):
             if r == skip or states[r] is _DONE:
                 continue
             task = self._tasks[r]
             if task is None or not task.started:
-                # never ran: no user code has executed — mirror the thread
-                # runner's silent pre-start teardown return
+                # never ran: no user code has executed — retire it
+                # silently
                 if task is not None and task.kind == "gen":
                     task.gen.close()
                 if states[r] is _BLOCKED:

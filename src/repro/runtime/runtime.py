@@ -2,11 +2,10 @@
 
 :func:`spmd_run` is the reproduction's analogue of launching a UPC++ job:
 it builds a :class:`World` (segments, conduit, per-rank contexts, the
-shared ready cell), runs the supplied function on every rank — one thread
-per rank under the cooperative scheduler, or all ranks on the calling
-thread when ``FeatureFlags.sched_event_loop`` selects the event-loop
-substrate — and returns the per-rank results together with the world
-(whose virtual clocks and cost counters the benchmarks read).
+shared ready cell), runs the supplied function on every rank — all ranks
+on the calling thread's event loop — and returns the per-rank results
+together with the world (whose virtual clocks and cost counters the
+benchmarks read).
 
 Example
 -------
@@ -26,9 +25,7 @@ Example
 from __future__ import annotations
 
 import logging
-import threading
-from dataclasses import dataclass, field
-from types import GeneratorType
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.core.cell import PromiseCell
@@ -41,9 +38,8 @@ from repro.memory.segment import Segment
 from repro.obs import ObsState
 from repro.runtime.adaptive_progress import AdaptiveProgressController
 from repro.runtime.config import RuntimeConfig, Version
-from repro.runtime.context import RankContext, set_current_ctx
+from repro.runtime.context import RankContext
 from repro.runtime.event_loop import EventLoopScheduler
-from repro.runtime.scheduler import CooperativeScheduler
 from repro.runtime.switchpoints import BlockUntil, run_blocking
 from repro.sim.costmodel import CostAction
 from repro.sim.machines import MachineProfile, profile_by_name
@@ -101,14 +97,14 @@ class World:
         #: (filled in by spmd_run after the job completes)
         self.sched_switches = 0
 
-        #: the driving scheduler (either substrate), wired through
-        #: :meth:`attach_scheduler` by whichever driver runs this world —
-        #: ``spmd_run``, or :meth:`EventLoopScheduler.run
-        #: <repro.runtime.event_loop.EventLoopScheduler.run>` for
-        #: nested/ambient worlds driven directly — so completion sites
-        #: (conduit inbox pushes, the barrier epoch advance) can notify
-        #: parked wake-list waiters; None for a world nobody drives
-        #: (a world without a scheduler never parks anyone)
+        #: the driving event-loop scheduler, wired through
+        #: :meth:`attach_scheduler` by :meth:`EventLoopScheduler.run
+        #: <repro.runtime.event_loop.EventLoopScheduler.run>` (under
+        #: ``spmd_run`` and for nested/ambient worlds driven directly
+        #: alike) so completion sites (conduit inbox pushes, the barrier
+        #: epoch advance) can notify parked wake-list waiters; None for a
+        #: world nobody drives (a world without a scheduler never parks
+        #: anyone)
         self.scheduler = None
         #: wake notifications that found no attached scheduler — the
         #: observable form of the old silent fallback: the event is
@@ -131,13 +127,13 @@ class World:
         Completion sites (conduit inbox pushes, barrier epoch advances)
         notify the attached scheduler, every rank context routes its
         blocking primitives through it, and the scheduler learns it has a
-        wake source (keyed blocks may park on wake bits).  Every driver
-        calls this — :func:`spmd_run` for both substrates *and*
+        wake source (keyed blocks may park on wake bits).
         :meth:`EventLoopScheduler.run
-        <repro.runtime.event_loop.EventLoopScheduler.run>` itself — so a
-        nested or ambient world driven directly gets wake-list scheduling,
-        not just the world ``spmd_run`` launched.  Idempotent for the same
-        scheduler; a world is driven by at most one scheduler at a time.
+        <repro.runtime.event_loop.EventLoopScheduler.run>` calls this, so
+        a nested or ambient world driven directly gets wake-list
+        scheduling, not just the world ``spmd_run`` launched.  Idempotent
+        for the same scheduler; a world is driven by at most one
+        scheduler at a time.
         """
         if self.scheduler is sched:
             return
@@ -223,7 +219,7 @@ class World:
         instead of calling the blocking primitives, so the event-loop
         scheduler interprets the waits in place.  :meth:`barrier` drives
         this same generator through ``run_blocking`` — one implementation,
-        identical charge sequence on both substrates."""
+        identical charge sequence on both paths."""
         obs = ctx.obs
         span = (
             obs.begin_span("barrier", "none", locality="coll")
@@ -295,7 +291,7 @@ def build_world(
     n_nodes: int = 1,
     segment_bytes: int = _DEFAULT_SEGMENT_BYTES,
 ) -> World:
-    """Construct a world without spawning threads (rank 0's context can be
+    """Construct a world without running it (rank 0's context can be
     used directly on the calling thread — this is how the ambient
     single-rank world works)."""
     return World(config, ranks=ranks, n_nodes=n_nodes, segment_bytes=segment_bytes)
@@ -337,17 +333,14 @@ def spmd_run(
     pairing: smp on Intel, udp on IBM/Marvell).  ``flags`` may override the
     version's feature set for ablations.
 
-    With ``FeatureFlags.sched_event_loop`` set, all ranks run on the
-    calling thread's event loop (:mod:`repro.runtime.event_loop`): a ``fn``
-    that is a generator function runs as an in-place continuation; any
-    other callable rides the per-rank thread shim.  Under the default
-    thread scheduler a generator-function ``fn`` is driven to completion
-    by the rank thread's trampoline, so one body definition serves both
-    substrates.
+    All ranks run on the calling thread's event loop
+    (:mod:`repro.runtime.event_loop`): a ``fn`` that is a generator
+    function runs as an in-place continuation; any other callable rides
+    the per-rank thread shim.
 
     ``switch_trace``, when given a list, receives every scheduling decision
     as a small tuple (see :class:`~repro.runtime.scheduler.SchedulerCore`)
-    — the parity tests' probe.
+    — the golden oracle's probe.
 
     Raises the first rank's exception if any rank fails (other ranks are
     torn down), and :class:`~repro.errors.DeadlockError` if the program
@@ -365,62 +358,14 @@ def spmd_run(
     world = World(
         config, ranks=ranks, n_nodes=n_nodes, segment_bytes=segment_bytes
     )
-    resolved = config.resolved_flags()
-    if resolved.sched_event_loop:
-        loop = EventLoopScheduler(
-            ranks,
-            switch_trace=switch_trace,
-            wake_list=resolved.sched_wake_list,
-        )
-        world.attach_scheduler(loop)
-        values = loop.run(world, fn, args)
-        world.sched_switches = loop.switches
-        err = loop.first_error()
-        if err is not None:
-            raise err
-        return SpmdResult(values=values, world=world)
-    sched = CooperativeScheduler(
+    loop = EventLoopScheduler(
         ranks,
         switch_trace=switch_trace,
-        wake_list=resolved.sched_wake_list,
+        wake_list=config.resolved_flags().sched_wake_list,
     )
-    world.attach_scheduler(sched)
-    results: list[Any] = [None] * ranks
-    threads: list[threading.Thread] = []
-
-    def runner(rank: int) -> None:
-        ctx = world.contexts[rank]
-        sched.register_thread(rank)
-        try:
-            sched.wait_for_token(rank)
-        except BaseException:  # noqa: BLE001 - job tearing down before start
-            return
-        set_current_ctx(ctx)
-        try:
-            rv = fn(*args)
-            if isinstance(rv, GeneratorType):
-                # continuation body under the thread substrate: drive it
-                # to completion right here, on its blocking primitives
-                rv = run_blocking(ctx, rv)
-            results[rank] = rv
-        except BaseException as exc:  # noqa: BLE001 - propagated to driver
-            sched.fail(rank, exc)
-            return
-        finally:
-            set_current_ctx(None)
-        sched.finish(rank)
-
-    for r in range(ranks):
-        t = threading.Thread(
-            target=runner, args=(r,), name=f"repro-rank-{r}", daemon=True
-        )
-        threads.append(t)
-        t.start()
-    sched.start()
-    for t in threads:
-        t.join()
-    world.sched_switches = sched.switches
-    err = sched.first_error()
+    values = loop.run(world, fn, args)
+    world.sched_switches = loop.switches
+    err = loop.first_error()
     if err is not None:
         raise err
-    return SpmdResult(values=results, world=world)
+    return SpmdResult(values=values, world=world)

@@ -1,23 +1,16 @@
 """Deterministic cooperative scheduling for simulated SPMD ranks.
 
-Two substrates share one round-robin policy core:
-
-* :class:`CooperativeScheduler` (this module) — the original substrate:
-  each simulated rank ("process" in the paper's single-node runs) executes
-  on its own OS thread, but exactly **one** rank thread runs at any moment;
-  a token is passed at well-defined switch points (progress calls, blocking
-  waits, barriers, rank completion).
-* :class:`~repro.runtime.event_loop.EventLoopScheduler` — every rank on a
-  single OS thread: rank bodies run as generator continuations and a
-  switch is one generator resume instead of two thread context switches.
-
-:class:`SchedulerCore` holds everything that decides *which* rank runs
-next: the rank state table, blocked-rank predicates, the round-robin
-promote-and-pick scan, the deadlock declaration, and the first-error
-record.  Both substrates drive every switch decision through the same core
-methods, so interleavings — and therefore all functional results and
-virtual clocks — are identical between them (the property the parity tests
-in ``tests/test_event_loop.py`` pin down).
+:class:`SchedulerCore` is the scheduling policy: the rank state table,
+blocked-rank predicates, the round-robin promote-and-pick scan, the
+deadlock declaration, and the first-error record.  Ranks run under it on
+:class:`~repro.runtime.event_loop.EventLoopScheduler`: every simulated
+rank ("process" in the paper's single-node runs) is multiplexed onto one
+OS thread and exactly **one** rank runs at any moment; control passes at
+well-defined switch points (progress calls, blocking waits, barriers,
+rank completion).  Every switch decision goes
+through the core's methods, so a program's interleaving — and therefore
+its functional results and virtual clocks — is a pure function of the
+program (``tests/test_sched_golden.py`` pins it event by event).
 
 Blocking is predicate-based: a rank blocks with a ``wake_when`` callable;
 whenever the scheduler picks the next rank to run it first re-evaluates
@@ -44,10 +37,9 @@ scan stays available as the differential oracle
 from __future__ import annotations
 
 import logging
-import threading
 from typing import Callable, Optional
 
-from repro.errors import DeadlockError, SchedulerError
+from repro.errors import DeadlockError
 
 _READY = "ready"
 _BLOCKED = "blocked"
@@ -55,7 +47,7 @@ _DONE = "done"
 
 
 class SchedulerCore:
-    """Scheduling policy shared by the thread and event-loop substrates.
+    """Scheduling policy: which rank runs next, and when the job is hung.
 
     Parameters
     ----------
@@ -64,14 +56,14 @@ class SchedulerCore:
     switch_trace:
         Optional list; when given, every scheduling decision appends a
         small tuple (``("yield", rank)``, ``("block", rank)``,
-        ``("pick", me, chosen)``, …).  Both substrates emit the events at
-        the same semantic points, so two runs of the same program produce
-        equal traces iff they scheduled identically — the parity tests'
-        measurement device.  ``None`` (the default) records nothing.
+        ``("pick", me, chosen)``, …), so two runs of the same program
+        produce equal traces iff they scheduled identically — the golden
+        oracle's measurement device.  ``None`` (the default) records
+        nothing.
     wake_list:
         Use event-driven wake lists for keyed blocks (the default); False
         forces the legacy per-switch predicate scan for everything — the
-        differential oracle the parity/fuzz tests diff against.
+        differential oracle the wake-list tests diff against.
     """
 
     def __init__(
@@ -92,7 +84,6 @@ class SchedulerCore:
         #: change scheduling; every mutation site guards on the prior state.
         self._blocked = 0
         self._error: Optional[BaseException] = None
-        self._error_lock = threading.Lock()
         self._started = False
         self._switch_trace = switch_trace
         #: control transfers between *distinct* ranks (bench: switches/sec)
@@ -138,16 +129,12 @@ class SchedulerCore:
     def first_error(self) -> Optional[BaseException]:
         return self._error
 
-    def all_done(self) -> bool:
-        return all(s is _DONE for s in self._states)
-
-    # -- shared internals ---------------------------------------------------
+    # -- internals ----------------------------------------------------------
 
     def _record_error(self, exc: BaseException) -> None:
         """First error wins; later failures are teardown echoes."""
-        with self._error_lock:
-            if self._error is None:
-                self._error = exc
+        if self._error is None:
+            self._error = exc
 
     def _teardown_error(self) -> DeadlockError:
         """The exception secondary ranks see while the job unwinds."""
@@ -343,163 +330,3 @@ class SchedulerCore:
             self._switch_trace.append(("pick", me, first))
         return first
 
-
-class CooperativeScheduler(SchedulerCore):
-    """Token-passing scheduler over ``nranks`` rank threads.
-
-    The driver thread calls :meth:`start` after launching all rank threads
-    (each of which must call :meth:`register_thread` and then
-    :meth:`wait_for_token` before touching shared state), and
-    :meth:`first_error` to re-raise any rank failure.
-    """
-
-    def __init__(
-        self,
-        nranks: int,
-        switch_trace: Optional[list] = None,
-        *,
-        wake_list: bool = True,
-    ):
-        super().__init__(nranks, switch_trace, wake_list=wake_list)
-        self._tokens = [threading.Event() for _ in range(nranks)]
-        self._threads: list[Optional[threading.Thread]] = [None] * nranks
-
-    # -- rank-thread API ---------------------------------------------------
-
-    def register_thread(self, rank: int) -> None:
-        """Record the calling thread as the owner of ``rank``."""
-        self._threads[rank] = threading.current_thread()
-
-    def wait_for_token(self, rank: int) -> None:
-        """Block the calling rank thread until it holds the run token."""
-        self._tokens[rank].wait()
-        self._tokens[rank].clear()
-        self._raise_if_failed()
-
-    def yield_now(self, rank: int) -> None:
-        """Give every other runnable rank a chance to run, then continue.
-
-        The calling rank stays runnable; if no other rank can run, this
-        returns immediately (no self-handoff churn).
-        """
-        self._check_owner(rank)
-        if self._switch_trace is not None:
-            self._switch_trace.append(("yield", rank))
-        nxt = self._pick_next(rank, include_self=False)
-        if nxt is None or nxt == rank:
-            return
-        self.switches += 1
-        self._tokens[nxt].set()
-        self.wait_for_token(rank)
-
-    def block_until(
-        self,
-        rank: int,
-        wake_when: Callable[[], bool],
-        wake: Optional[tuple] = None,
-    ) -> None:
-        """Block ``rank`` until ``wake_when()`` is true.
-
-        The predicate is evaluated once immediately; if already true the
-        call returns without switching.  Otherwise the token passes to the
-        next runnable rank and this thread sleeps until the scheduler finds
-        the predicate true at a later switch point.  ``wake`` optionally
-        names the event that turns the predicate true (see
-        :class:`~repro.runtime.switchpoints.BlockUntil`), letting the
-        wake-list pick skip predicate evaluation entirely.
-        """
-        self._check_owner(rank)
-        if wake_when():
-            return
-        if self._switch_trace is not None:
-            self._switch_trace.append(("block", rank))
-        self._enter_blocked(rank, wake_when, wake)
-        nxt = self._pick_next(rank, include_self=True)
-        if nxt == rank:
-            # our own predicate turned true during the scan (it may depend
-            # on state mutated by the scan itself — conservatively re-run);
-            # the scan's promotion already restored _READY and the count
-            self._states[rank] = _READY
-            self._preds[rank] = None
-            return
-        if nxt is None:
-            self._declare_deadlock()
-        else:
-            self.switches += 1
-            self._tokens[nxt].set()
-        self.wait_for_token(rank)
-        # woken: predicate was observed true (or an error is propagating);
-        # the promoting scan already decremented _blocked — the guard only
-        # matters on paths that wake without promotion
-        if self._states[rank] is _BLOCKED:
-            self._blocked -= 1
-            self._unregister_wake(rank)
-        self._states[rank] = _READY
-        self._ready_mask |= 1 << rank
-        self._preds[rank] = None
-
-    def finish(self, rank: int) -> None:
-        """Mark ``rank`` complete and hand the token onward."""
-        self._check_owner(rank)
-        if self._switch_trace is not None:
-            self._switch_trace.append(("finish", rank))
-        self._states[rank] = _DONE
-        self._ready_mask &= ~(1 << rank)
-        self._preds[rank] = None
-        nxt = self._pick_next(rank, include_self=False)
-        if nxt is not None:
-            self.switches += 1
-            self._tokens[nxt].set()
-        elif any(s is _BLOCKED for s in self._states):
-            self._declare_deadlock()
-
-    def fail(self, rank: int, exc: BaseException) -> None:
-        """Record a rank failure and wake everyone so the job tears down."""
-        if self._switch_trace is not None:
-            self._switch_trace.append(("fail", rank))
-        self._record_error(exc)
-        if self._states[rank] is _BLOCKED:
-            # a teardown error thrown out of wait_for_token propagates out
-            # of block_until without running its post-wake bookkeeping
-            self._blocked -= 1
-            self._unregister_wake(rank)
-        self._states[rank] = _DONE
-        self._ready_mask &= ~(1 << rank)
-        self._preds[rank] = None
-        for r, tok in enumerate(self._tokens):
-            if r != rank:
-                tok.set()
-
-    # -- driver API ----------------------------------------------------------
-
-    def start(self) -> None:
-        """Hand the token to rank 0 (call once, after threads launch)."""
-        if self._started:
-            raise SchedulerError("scheduler already started")
-        self._started = True
-        self._tokens[0].set()
-
-    # -- internals -------------------------------------------------------------
-
-    def _check_owner(self, rank: int) -> None:
-        owner = self._threads[rank]
-        if owner is not None and owner is not threading.current_thread():
-            raise SchedulerError(
-                f"rank {rank} scheduler call from foreign thread "
-                f"{threading.current_thread().name!r}"
-            )
-
-    def _raise_if_failed(self) -> None:
-        if self._error is not None:
-            # Secondary ranks surface the primary failure as a deadlock-style
-            # teardown unless they themselves raised it.
-            raise self._teardown_error() from self._error
-
-    def _declare_deadlock(self) -> None:
-        if self._switch_trace is not None:
-            self._switch_trace.append(("deadlock", tuple(self._states)))
-        exc = self._deadlock_error()
-        self._record_error(exc)
-        for tok in self._tokens:
-            tok.set()
-        raise exc

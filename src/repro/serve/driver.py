@@ -225,8 +225,8 @@ class ServeResult:
 
 
 def _serve_body_gen(cfg: ServeConfig):
-    """The SPMD serving body as a generator continuation — one body for
-    both scheduler substrates, like :func:`repro.apps.dht._dht_body_gen`."""
+    """The SPMD serving body as a generator continuation, like
+    :func:`repro.apps.dht._dht_body_gen`."""
     ctx = current_ctx()
     me = rank_me()
     p = rank_n()
@@ -318,7 +318,8 @@ def _serve_body_gen(cfg: ServeConfig):
 
 
 def _serve_body(cfg: ServeConfig):
-    """Blocking form (thread-shim parity oracle for the continuation)."""
+    """Blocking form (rides the thread shim) — the reference the
+    continuation is compared against."""
     return run_blocking(current_ctx(), _serve_body_gen(cfg))
 
 
@@ -331,7 +332,6 @@ def run_serve(
     conduit: Optional[str] = None,
     n_nodes: int = 1,
     flags=None,
-    continuation: bool = True,
 ) -> ServeResult:
     """Run one open-loop serving experiment and roll it up world-wide."""
     if cfg.key_space * 2 > (1 << cfg.log2_slots):
@@ -340,9 +340,8 @@ def run_serve(
             f"({cfg.key_space} keys, {1 << cfg.log2_slots} slots)"
         )
     seg = max(1 << 17, (1 << cfg.log2_slots) // ranks * 16 * 4)
-    body = _serve_body_gen if continuation else (lambda c: _serve_body(c))
     res = spmd_run(
-        body,
+        _serve_body_gen,
         args=(cfg,),
         ranks=ranks,
         version=version,

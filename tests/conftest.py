@@ -76,6 +76,19 @@ def obs_flags(version):
     return flags_for(version).replace(obs_spans=True)
 
 
+def rank_body(fn, continuation: bool):
+    """``fn`` (a generator rank body) in the requested execution style.
+
+    ``continuation=True`` returns ``fn`` itself, which the event loop
+    resumes in place.  ``False`` returns a plain-function wrapper: the
+    event loop runs it on the per-rank thread shim, which drives the same
+    generator through the blocking primitives.  Both styles must schedule
+    identically — same values, clocks and switch traces."""
+    if continuation:
+        return fn
+    return lambda *args: fn(*args)
+
+
 def progress_adaptive_flags(version=VD, **kw):
     """Adaptive-progress flags with tight test-sized knobs: small batch
     cap, short age bound, and a modest poll-thinning ceiling so capped

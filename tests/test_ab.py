@@ -44,7 +44,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="toggle"):
             self._spec(toggle={
                 "sched_wake_list": True,
-                "sched_event_loop": True,
+                "wait_hints": True,
                 "cx_continuations": True,
             })
 
@@ -260,7 +260,7 @@ class TestWorkloadHelpers:
         by_flag = ab.CONT_FUTURE.workload_params["variant_by_flag"]
         assert ab._pick_variant(None, by_flag, arms["future"]) == "amo_future"
         assert ab._pick_variant(None, by_flag, arms["cont"]) == "cont"
-        # explicit variant wins (contbench's promise rows)
+        # an explicit variant takes precedence over variant_by_flag
         assert ab._pick_variant("prog_adaptive", by_flag, arms["cont"]) == (
             "prog_adaptive"
         )
@@ -278,7 +278,7 @@ class TestWorkloadHelpers:
         spec = ab.ABSpec(
             name="t", description="d", workload="blocked_storm",
             axis="ranks", points=(2,), seeds=(1,),
-            toggle={"sched_event_loop": True},
+            toggle={"wait_hints": True},
             metrics=(ab.MetricSpec("not_produced"),),
             workload_params={"rounds_by_ranks": {"2": 2}},
         )

@@ -87,7 +87,7 @@ class TestArtifactParsers:
 
     def test_artifact_out_defaults_to_none(self):
         # --out None lets quick runs pick BENCH_<name>.quick.json
-        for cmd in ("sched", "serve", "cont"):
+        for cmd in ("sched", "serve"):
             args = build_parser().parse_args([cmd])
             assert args.out is None and not args.force
 

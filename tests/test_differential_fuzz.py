@@ -33,6 +33,7 @@ from repro.fuzz import (
     run_program,
 )
 from repro.fuzz.runner import _swap_plan
+from tests.test_sched_golden import FUZZ_SWEEP_PROGRAMS, assert_golden
 
 #: the tier-1 sweep seed (CI adds more, plus a run-derived one)
 SWEEP_SEED = 1
@@ -207,15 +208,15 @@ class TestCxModes:
             assert check_program(prog, cx_modes=CX_MODES[1:]) == []
 
     def test_cross_scheduler_exact_with_cx(self):
-        """Both substrates agree bit-for-bit (clocks included) on
-        swapped runs."""
-        for index in range(6):
-            prog = generate_program(SWEEP_SEED * 1_000_003 + index)
+        """The event loop reproduces the thread-per-rank scheduler's
+        swapped runs bit-for-bit, clocks and switch traces included
+        (its records are in the golden file)."""
+        assert FUZZ_SWEEP_PROGRAMS == tuple(
+            SWEEP_SEED * 1_000_003 + i for i in range(6)
+        )
+        for index in range(len(FUZZ_SWEEP_PROGRAMS)):
             for cx in CX_MODES[1:]:
-                a = run_program(prog, "adaptive", "thread", cx=cx)
-                b = run_program(prog, "adaptive", "event", cx=cx)
-                assert a == b
-                assert a.clock_ns == b.clock_ns
+                assert_golden(f"fuzz_sweep{index}_adaptive_{cx}")
 
 
 class TestReplay:

@@ -1,16 +1,15 @@
-"""Parity tests: the event-loop scheduler vs the thread scheduler.
+"""Event-loop tests: in-place continuations vs the thread shim.
 
-The tentpole guarantee of ``FeatureFlags.sched_event_loop``: swapping the
-scheduling substrate is *unobservable* — same per-rank results, same
-virtual clocks, same switch traces (every scheduling decision, in order),
-same deadlock declarations and failure teardown.  These tests compare the
-two substrates event by event on direct SPMD programs, on the GUPS
-variants across the flag matrix axes, and on seeded fuzz programs.
-
-Traces are compared up to the first terminal event (``deadlock``/``fail``):
-past that point the thread substrate wakes the to-be-torn-down rank
-threads in OS order, so the *order* of subsequent ``fail`` entries is
-scheduler-noise by design (the set of torn-down ranks is still checked).
+The event loop runs a generator rank body in two styles: resumed in place
+as a continuation, or — wrapped as a plain function — on the per-rank
+thread shim, which drives the same generator through the blocking
+primitives.  Both must be *unobservable* choices: same per-rank results,
+same virtual clocks, same switch traces (every scheduling decision, in
+order), same deadlock declarations and failure teardown.  These tests
+compare the two styles event by event on direct SPMD programs, on the
+GUPS variants across the flag matrix axes, and on seeded fuzz programs.
+``tests/test_sched_golden.py`` pins the continuation style against
+traces recorded from the thread-per-rank scheduler the loop replaced.
 """
 
 import dataclasses
@@ -24,17 +23,7 @@ from repro.fuzz.runner import _fuzz_body, mode_flags, run_program
 from repro.runtime.config import Version, flags_for
 from repro.runtime.runtime import spmd_run
 from repro.runtime.switchpoints import YIELD_NOW, BlockUntil
-
-TERMINALS = ("deadlock", "fail")
-
-
-def _truncate(trace):
-    """The deterministic prefix: everything up to and including the first
-    terminal event (teardown wake order after it is OS noise)."""
-    for i, ev in enumerate(trace):
-        if ev[0] in TERMINALS:
-            return trace[: i + 1]
-    return trace
+from tests.conftest import rank_body
 
 
 def _flags(version=Version.V2021_3_6_EAGER, **kw):
@@ -42,32 +31,29 @@ def _flags(version=Version.V2021_3_6_EAGER, **kw):
 
 
 def run_both(fn, *, ranks, args=(), expect=None, **kw):
-    """Run ``fn`` under both substrates; assert identical values, clocks,
-    and truncated switch traces; return the two results."""
-    tr_th, tr_ev = [], []
-    base = kw.pop("flags", flags_for(kw.get("version", Version.V2021_3_6_EAGER)))
-    fl_ev = dataclasses.replace(base, sched_event_loop=True)
-    if expect is None:
-        r_th = spmd_run(fn, ranks=ranks, args=args, flags=base,
-                        switch_trace=tr_th, **kw)
-        r_ev = spmd_run(fn, ranks=ranks, args=args, flags=fl_ev,
-                        switch_trace=tr_ev, **kw)
-        assert r_ev.values == r_th.values
-    else:
-        with pytest.raises(expect) as ei_th:
-            spmd_run(fn, ranks=ranks, args=args, flags=base,
-                     switch_trace=tr_th, **kw)
-        with pytest.raises(expect) as ei_ev:
-            spmd_run(fn, ranks=ranks, args=args, flags=fl_ev,
-                     switch_trace=tr_ev, **kw)
-        assert str(ei_ev.value) == str(ei_th.value)
-        r_th = r_ev = None
-    assert _truncate(tr_ev) == _truncate(tr_th)
-    if r_th is not None:
-        assert [c.clock.now_ns for c in r_ev.world.contexts] == [
-            c.clock.now_ns for c in r_th.world.contexts
-        ]
-    return r_th, r_ev
+    """Run generator body ``fn`` as a continuation and on the thread shim;
+    assert identical values, clocks, and switch traces (or identical
+    errors and traces under ``expect``); return the continuation run's
+    ``(values, clocks, trace)`` — ``(error text, trace)`` under
+    ``expect``."""
+    out = []
+    for continuation in (True, False):
+        trace = []
+        body = rank_body(fn, continuation)
+        if expect is None:
+            res = spmd_run(
+                body, ranks=ranks, args=args, switch_trace=trace, **kw
+            )
+            clocks = [c.clock.now_ns for c in res.world.contexts]
+            out.append((res.values, clocks, trace))
+        else:
+            with pytest.raises(expect) as ei:
+                spmd_run(
+                    body, ranks=ranks, args=args, switch_trace=trace, **kw
+                )
+            out.append((str(ei.value), trace))
+    assert out[0] == out[1]
+    return out[0]
 
 
 class TestBasicParity:
@@ -76,12 +62,12 @@ class TestBasicParity:
             yield from barrier_gen()
             return rank_me() * 3
 
-        r_th, _ = run_both(body, ranks=8)
-        assert r_th.values == [r * 3 for r in range(8)]
+        values, _, _ = run_both(body, ranks=8)
+        assert values == [r * 3 for r in range(8)]
 
     def test_round_robin_promotion_order(self):
-        """Satellite check: the fused single-pass _pick_next keeps the
-        exact round-robin order of the old two-pass scan."""
+        """The fused single-pass _pick_next keeps the exact round-robin
+        order of the old two-pass scan, in both body styles."""
         log = []
 
         def body():
@@ -90,17 +76,18 @@ class TestBasicParity:
                 log.append(me)
                 yield YIELD_NOW
 
-        fl = _flags(sched_event_loop=True)
-        spmd_run(body, ranks=4, flags=fl)
-        assert log[:4] == [0, 1, 2, 3]
-        log_ev = list(log)
-        log.clear()
         spmd_run(body, ranks=4)
-        assert log == log_ev
+        assert log[:4] == [0, 1, 2, 3]
+        log_cont = list(log)
+        log.clear()
+        spmd_run(rank_body(body, False), ranks=4)
+        assert log == log_cont
 
     def test_block_until_producer_consumer(self):
         def body():
             ctx = current_ctx()
+            if not hasattr(ctx.world, "shared"):
+                ctx.world.shared = []  # type: ignore[attr-defined]
             box = ctx.world.shared  # type: ignore[attr-defined]
             me = rank_me()
             if me == 0:
@@ -112,35 +99,33 @@ class TestBasicParity:
             box.append("pong")
             return box[0]
 
-        def run(flags):
-            tr = []
-            world_box = []
-
-            def wrapped():
-                ctx = current_ctx()
-                ctx.world.shared = world_box  # type: ignore[attr-defined]
-                return (yield from body())
-
-            r = spmd_run(wrapped, ranks=2, flags=flags, switch_trace=tr)
-            return r.values, tr
-
-        v_th, t_th = run(_flags())
-        v_ev, t_ev = run(_flags(sched_event_loop=True))
-        assert v_ev == v_th == ["pong", "ping"]
-        assert t_ev == t_th
+        values, _, _ = run_both(body, ranks=2)
+        assert values == ["pong", "ping"]
 
     def test_plain_function_rides_the_shim(self):
-        """Un-ported (non-generator) bodies run under the thread shim and
-        stay observably identical."""
-        def body():
+        """A hand-written plain body (blocking calls, no generator at all)
+        schedules exactly like its generator twin."""
+        def plain():
             barrier()
             ctx = current_ctx()
             ctx.yield_to_others()
             barrier()
             return rank_me()
 
-        r_th, r_ev = run_both(body, ranks=6)
-        assert r_th.values == list(range(6))
+        def gen():
+            yield from barrier_gen()
+            yield YIELD_NOW
+            yield from barrier_gen()
+            return rank_me()
+
+        runs = []
+        for body in (plain, gen):
+            trace = []
+            res = spmd_run(body, ranks=6, switch_trace=trace)
+            clocks = [c.clock.now_ns for c in res.world.contexts]
+            runs.append((res.values, clocks, trace))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == list(range(6))
 
 
 class TestDeadlockParity:
@@ -148,19 +133,11 @@ class TestDeadlockParity:
         def body():
             yield BlockUntil(lambda: False)
 
-        tr_th, tr_ev = [], []
-        with pytest.raises(DeadlockError) as ei_th:
-            spmd_run(body, ranks=3, switch_trace=tr_th)
-        with pytest.raises(DeadlockError) as ei_ev:
-            spmd_run(body, ranks=3, flags=_flags(sched_event_loop=True),
-                     switch_trace=tr_ev)
-        assert str(ei_ev.value) == str(ei_th.value)
-        assert "states:" in str(ei_ev.value)
+        msg, trace = run_both(body, ranks=3, expect=DeadlockError)
+        assert "states:" in msg
         for r in range(3):
-            assert f"{r}:" in str(ei_ev.value)
-        assert _truncate(tr_ev) == _truncate(tr_th)
-        assert tr_ev[-1][0] == "deadlock" or ("deadlock" in
-                                              [e[0] for e in tr_ev])
+            assert f"{r}:" in msg
+        assert trace[-1][0] == "deadlock"
 
     def test_partial_deadlock_after_finishes(self):
         """The finish-path declaration: the last runnable rank completes
@@ -181,13 +158,11 @@ class TestDeadlockParity:
             finally:
                 cleaned.append(rank_me())
 
-        with pytest.raises(DeadlockError):
-            spmd_run(body, ranks=3, flags=_flags(sched_event_loop=True))
-        assert sorted(cleaned) == [0, 1, 2]
-        cleaned.clear()
-        with pytest.raises(DeadlockError):
-            spmd_run(body, ranks=3)
-        assert sorted(cleaned) == [0, 1, 2]
+        for continuation in (True, False):
+            with pytest.raises(DeadlockError):
+                spmd_run(rank_body(body, continuation), ranks=3)
+            assert sorted(cleaned) == [0, 1, 2]
+            cleaned.clear()
 
 
 class TestFailureParity:
@@ -204,14 +179,12 @@ class TestFailureParity:
 
         # rank 0 blocks at the barrier, rank 1 fails before ranks 2/3 ever
         # start: started ranks unwind (finally runs), never-started ranks
-        # run no user code at all — identically on both substrates
-        with pytest.raises(ValueError, match="kaboom"):
-            spmd_run(body, ranks=4, flags=_flags(sched_event_loop=True))
-        assert sorted(cleaned) == [0, 1]
-        cleaned.clear()
-        with pytest.raises(ValueError, match="kaboom"):
-            spmd_run(body, ranks=4)
-        assert sorted(cleaned) == [0, 1]
+        # run no user code at all — identically in both body styles
+        for continuation in (True, False):
+            with pytest.raises(ValueError, match="kaboom"):
+                spmd_run(rank_body(body, continuation), ranks=4)
+            assert sorted(cleaned) == [0, 1]
+            cleaned.clear()
 
     def test_failure_unwinds_all_started_ranks(self):
         cleaned = []
@@ -225,28 +198,22 @@ class TestFailureParity:
             finally:
                 cleaned.append(rank_me())
 
-        with pytest.raises(ValueError, match="kaboom"):
-            spmd_run(body, ranks=4, flags=_flags(sched_event_loop=True))
-        assert sorted(cleaned) == [0, 1, 2, 3]
-        cleaned.clear()
-        with pytest.raises(ValueError, match="kaboom"):
-            spmd_run(body, ranks=4)
-        assert sorted(cleaned) == [0, 1, 2, 3]
+        for continuation in (True, False):
+            with pytest.raises(ValueError, match="kaboom"):
+                spmd_run(rank_body(body, continuation), ranks=4)
+            assert sorted(cleaned) == [0, 1, 2, 3]
+            cleaned.clear()
 
     def test_first_error_wins(self):
         def body():
             raise KeyError(f"r{rank_me()}")
             yield  # pragma: no cover - makes this a generator function
 
-        # rank 0 errors before any other rank has started on both
-        # substrates, so its error is the one that propagates
-        tr_th, tr_ev = [], []
-        with pytest.raises(KeyError, match="r0"):
-            spmd_run(body, ranks=3, switch_trace=tr_th)
-        with pytest.raises(KeyError, match="r0"):
-            spmd_run(body, ranks=3, flags=_flags(sched_event_loop=True),
-                     switch_trace=tr_ev)
-        assert _truncate(tr_ev) == _truncate(tr_th) == [("fail", 0)]
+        # rank 0 errors before any other rank has started, so its error
+        # is the one that propagates
+        msg, trace = run_both(body, ranks=3, expect=KeyError)
+        assert msg == "'r0'"
+        assert trace == [("fail", 0)]
 
     def test_teardown_error_type_for_survivors(self):
         seen = []
@@ -260,10 +227,12 @@ class TestFailureParity:
                 seen.append(str(exc))
                 raise
 
-        with pytest.raises(RuntimeError, match="boom"):
-            spmd_run(body, ranks=3, flags=_flags(sched_event_loop=True))
-        assert len(seen) == 2
-        assert all("tearing down" in s for s in seen)
+        for continuation in (True, False):
+            with pytest.raises(RuntimeError, match="boom"):
+                spmd_run(rank_body(body, continuation), ranks=3)
+            assert len(seen) == 2
+            assert all("tearing down" in s for s in seen)
+            seen.clear()
 
 
 class TestInlineGuards:
@@ -275,7 +244,7 @@ class TestInlineGuards:
                     ctx.block_until(lambda: False)
             yield from barrier_gen()
 
-        spmd_run(body, ranks=2, flags=_flags(sched_event_loop=True))
+        spmd_run(body, ranks=2)
 
     def test_inline_yield_with_runnable_peer_raises(self):
         def body():
@@ -286,7 +255,7 @@ class TestInlineGuards:
                     ctx.yield_to_others()
             yield from barrier_gen()
 
-        spmd_run(body, ranks=2, flags=_flags(sched_event_loop=True))
+        spmd_run(body, ranks=2)
 
     def test_inline_calls_fine_when_alone(self):
         """A 1-rank world never switches, so inline blocking primitives
@@ -298,38 +267,50 @@ class TestInlineGuards:
             return "ok"
             yield  # pragma: no cover - makes this a generator function
 
-        r = spmd_run(body, ranks=1, flags=_flags(sched_event_loop=True))
+        r = spmd_run(body, ranks=1)
         assert r.values == ["ok"]
 
 
+def _gups_both(monkeypatch, cfg, flags, **kw):
+    """run_gups with the generator body, then with its blocking wrapper
+    on the thread shim."""
+    from repro.apps import gups
+
+    r_cont = gups.run_gups(cfg, flags=flags, **kw)
+    monkeypatch.setattr(
+        gups, "_gups_body", rank_body(gups._gups_body, False)
+    )
+    r_shim = gups.run_gups(cfg, flags=flags, **kw)
+    return r_cont, r_shim
+
+
 class TestGupsFlagMatrixParity:
-    """Spot checks over the existing flag-matrix axes: the substrates must
-    agree on functional results and virtual clocks for every build."""
+    """Spot checks over the existing flag-matrix axes: the two body styles
+    must agree on functional results and virtual clocks for every
+    build."""
 
     @pytest.mark.parametrize("variant", ["rma_promise", "rma_future", "agg"])
     @pytest.mark.parametrize("version", [Version.V2021_3_6_EAGER,
                                          Version.V2021_3_6_DEFER])
-    def test_gups_variant_parity(self, variant, version):
-        from repro.apps.gups import GupsConfig, run_gups
+    def test_gups_variant_parity(self, monkeypatch, variant, version):
+        from repro.apps.gups import GupsConfig
 
         cfg = GupsConfig(variant=variant, table_log2=8,
                          updates_per_rank=16, batch=8)
-        kw = dict(ranks=4, version=version, machine="generic",
-                  conduit="udp", n_nodes=2)
         base = flags_for(version)
         if variant == "agg":
             base = dataclasses.replace(base, am_aggregation=True)
-        r_th = run_gups(cfg, flags=base, **kw)
-        r_ev = run_gups(
-            cfg, flags=dataclasses.replace(base, sched_event_loop=True), **kw
+        r_cont, r_shim = _gups_both(
+            monkeypatch, cfg, base, ranks=4, version=version,
+            machine="generic", conduit="udp", n_nodes=2,
         )
-        assert r_ev.checksum == r_th.checksum
-        assert r_ev.solve_ns == r_th.solve_ns
-        assert r_ev.gups == r_th.gups
-        assert (r_ev.table == r_th.table).all()
+        assert r_shim.checksum == r_cont.checksum
+        assert r_shim.solve_ns == r_cont.solve_ns
+        assert r_shim.gups == r_cont.gups
+        assert (r_shim.table == r_cont.table).all()
 
-    def test_wait_hints_and_adaptive_axes(self):
-        from repro.apps.gups import GupsConfig, run_gups
+    def test_wait_hints_and_adaptive_axes(self, monkeypatch):
+        from repro.apps.gups import GupsConfig
 
         cfg = GupsConfig(variant="wait_hints", table_log2=8,
                          updates_per_rank=16, batch=8)
@@ -337,56 +318,44 @@ class TestGupsFlagMatrixParity:
             flags_for(Version.V2021_3_6_DEFER),
             wait_hints=True, progress_adaptive=True, obs_spans=True,
         )
-        kw = dict(ranks=4, version=Version.V2021_3_6_DEFER,
-                  machine="generic", conduit="udp", n_nodes=2)
-        r_th = run_gups(cfg, flags=base, **kw)
-        r_ev = run_gups(
-            cfg, flags=dataclasses.replace(base, sched_event_loop=True), **kw
+        r_cont, r_shim = _gups_both(
+            monkeypatch, cfg, base, ranks=4,
+            version=Version.V2021_3_6_DEFER, machine="generic",
+            conduit="udp", n_nodes=2,
         )
-        assert r_ev.checksum == r_th.checksum
-        assert r_ev.solve_ns == r_th.solve_ns
+        assert r_shim.checksum == r_cont.checksum
+        assert r_shim.solve_ns == r_cont.solve_ns
 
 
 class TestFuzzParity:
     """Property tests on seeded fuzz programs: for any generated program
-    and any mode, the two substrates produce the same FuzzOutcome —
+    and any mode, the two body styles produce the same FuzzOutcome —
     tables, per-op values, completion counts, *and clocks*."""
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_outcomes_identical(self, seed):
-        program = generate_program(seed)
-        from repro.fuzz import MODES
+    def test_outcomes_identical(self, monkeypatch, seed):
+        from repro.fuzz import MODES, runner
 
+        program = generate_program(seed)
         mode = MODES[seed % len(MODES)]
-        assert run_program(program, mode, "event") == run_program(
-            program, mode, "thread"
+        cont = run_program(program, mode)
+        monkeypatch.setattr(
+            runner, "_fuzz_body", rank_body(_fuzz_body, False)
         )
+        assert run_program(program, mode) == cont
 
     @pytest.mark.parametrize("seed", [3, 11, 27])
     def test_switch_traces_identical(self, seed):
         program = generate_program(seed)
         version, flags = mode_flags("hinted")
-        tr_th, tr_ev = [], []
-        kw = dict(
-            ranks=program.ranks, version=version, machine="generic",
-            conduit=program.conduit, n_nodes=program.n_nodes,
-            seed=program.seed, args=(program,),
+        values, _, trace = run_both(
+            _fuzz_body, ranks=program.ranks, version=version,
+            machine="generic", conduit=program.conduit,
+            n_nodes=program.n_nodes, seed=program.seed, args=(program,),
+            flags=flags,
         )
-        r_th = spmd_run(_fuzz_body, flags=flags, switch_trace=tr_th, **kw)
-        r_ev = spmd_run(
-            _fuzz_body,
-            flags=flags.replace(sched_event_loop=True),
-            switch_trace=tr_ev,
-            **kw,
-        )
-        assert tr_ev == tr_th
-        assert r_ev.values == r_th.values
-
-    def test_check_program_covers_both_substrates(self):
-        from repro.fuzz import SCHEDULERS, check_program
-
-        program = generate_program(5)
-        assert check_program(program, schedulers=SCHEDULERS) == []
+        assert len(values) == program.ranks
+        assert any(ev[0] == "block" for ev in trace)
 
 
 class TestCostBatching:
@@ -399,7 +368,7 @@ class TestCostBatching:
 
         cfg = GupsConfig(variant="rma_promise", table_log2=8,
                          updates_per_rank=32, batch=8)
-        base = _flags(sched_event_loop=True, cost_batching=False)
+        base = _flags(cost_batching=False)
         r_plain = run_gups(cfg, ranks=4, machine="generic", flags=base)
         r_batch = run_gups(
             cfg, ranks=4, machine="generic",
@@ -409,8 +378,6 @@ class TestCostBatching:
         assert r_batch.solve_ns == r_plain.solve_ns
 
     def test_counts_merge_lazily(self):
-        from repro.fuzz.runner import _fuzz_body
-
         program = generate_program(7)
         kw = dict(ranks=program.ranks, machine="generic",
                   conduit=program.conduit, n_nodes=program.n_nodes,

@@ -171,13 +171,12 @@ class TestMatrix:
 # pure implementation strategies — toggling either must be bit-identical
 # on *every* observable (timing included), unlike the semantic axes above
 # where only checksums are pinned.  Swept against a smaller base matrix
-# (the three flags that most reshape scheduling/progress behavior, on
-# both scheduler substrates) to keep the run count reasonable.
+# (the three flags that most reshape scheduling/progress behavior) to
+# keep the run count reasonable.
 MECH_BASE_AXES = (
     "am_aggregation",
     "progress_adaptive",
     "wait_hints",
-    "sched_event_loop",
 )
 
 
@@ -244,7 +243,6 @@ class TestMechanismFlagsBitIdentical:
 CX_BASE_AXES = (
     "am_aggregation",
     "progress_adaptive",
-    "sched_event_loop",
 )
 
 CX_CFG = GupsConfig(
@@ -336,15 +334,3 @@ class TestCxContinuationsDimension:
         assert res.matches_oracle
         modes = {m for (m, _loc) in res.obs_stats.gaps if m != "none"}
         assert modes == {"eager"}, modes
-
-    def test_event_loop_substrate_bit_identical(self, cx_on_matrix):
-        """The cont workload is substrate-independent: each combo's
-        event-loop run reproduces the thread run exactly."""
-        for (version, on), res in cx_on_matrix.items():
-            if "sched_event_loop" in on:
-                continue
-            other = cx_on_matrix[(version, on | {"sched_event_loop"})]
-            key = (version, sorted(on))
-            assert other.solve_ns == res.solve_ns, key
-            assert other.checksum == res.checksum, key
-            assert other.progress_polls == res.progress_polls, key

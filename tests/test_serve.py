@@ -3,8 +3,8 @@
 The serving benchmark's claims rest on invariants pinned here:
 
 * **determinism** — a run is a pure function of its config: same seed
-  twice is bit-identical, and the event-loop scheduler substrate
-  reproduces the thread substrate tick for tick;
+  twice is bit-identical, and the blocking-wrapper body on the thread
+  shim reproduces the generator body tick for tick;
 * **zero perturbation** — turning request-span observability on changes
   *nothing* about virtual time or the latency sketches, and turning it
   off allocates no spans at all (the request path performs one
@@ -24,20 +24,23 @@ import dataclasses
 
 import pytest
 
-from repro.runtime.config import Version, flags_for
-from repro.serve import PHASES, ServeConfig, run_serve
-from repro.serve.driver import merge_serve_snapshots, sketch_key
-from repro.serve.workload import KCLASSES
-from tests.conftest import VE, obs_flags
-
-#: Small but non-trivial: 4 ranks x 64 requests, 128 keys, moderate load.
-CFG = ServeConfig(
-    log2_slots=10,
-    key_space=128,
-    requests_per_rank=64,
-    offered_rate_rps=2e6,
-    seed=3,
+from repro.runtime.config import Version
+from repro.serve import PHASES, run_serve
+from repro.runtime.runtime import spmd_run
+from repro.serve.driver import (
+    _serve_body,
+    _serve_body_gen,
+    merge_serve_snapshots,
+    sketch_key,
 )
+from repro.serve.workload import KCLASSES
+from repro.sim.stats import serve_snapshots
+from tests.conftest import VE, obs_flags
+from tests.test_sched_golden import SERVE_CFG, assert_golden
+
+#: Small but non-trivial: 4 ranks x 64 requests, 128 keys, moderate load
+#: (shared with the golden scheduling record).
+CFG = SERVE_CFG
 RANKS = 4
 
 _cache: dict = {}
@@ -73,16 +76,27 @@ class TestDeterminism:
         assert fingerprint(a) == fingerprint(b)
 
     def test_event_loop_substrate_matches_threads(self):
-        a = baseline()
-        b = serve(
-            "evloop", flags=flags_for(VE).replace(sched_event_loop=True)
-        )
-        assert fingerprint(a) == fingerprint(b)
+        """The event loop runs the serving body exactly as the
+        thread-per-rank scheduler did (its record is in the golden
+        file)."""
+        assert_golden("serve_gen_4")
 
     def test_blocking_body_matches_continuation(self):
-        a = baseline()
-        b = serve("blocking", continuation=False)
-        assert fingerprint(a) == fingerprint(b)
+        def run(body):
+            trace = []
+            res = spmd_run(
+                body, args=(CFG,), ranks=RANKS, machine="intel",
+                seed=CFG.seed, segment_bytes=1 << 17, switch_trace=trace,
+            )
+            clocks = [c.clock.now_ns for c in res.world.contexts]
+            return (res.values, clocks, res.world.sched_switches, trace,
+                    serve_snapshots(res.world))
+
+        gen = run(_serve_body_gen)
+        blk = run(lambda c: _serve_body(c))
+        assert gen == blk
+        # the snapshots are what run_serve rolls up into its result
+        assert merge_serve_snapshots(gen[4]).sketches == baseline().sketches
 
 
 class TestZeroPerturbation:

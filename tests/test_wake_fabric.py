@@ -26,6 +26,7 @@ from repro.runtime.event_loop import EventLoopScheduler
 from repro.runtime.runtime import build_world, spmd_run
 from repro.runtime.scheduler import SchedulerCore
 from repro.sim.costmodel import CostAction
+from tests.conftest import rank_body
 
 
 def _flags(**kw):
@@ -46,7 +47,7 @@ def _drive_direct(ranks: int, rounds: int, *, wake_list: bool):
     the nested/ambient shape that used to lose wake-list scheduling."""
     config = RuntimeConfig(
         version=Version.V2021_3_6_EAGER,
-        flags=_flags(sched_event_loop=True, sched_wake_list=wake_list),
+        flags=_flags(sched_wake_list=wake_list),
     )
     world = build_world(config, ranks=ranks)
     trace: list = []
@@ -78,10 +79,7 @@ class TestDirectlyDrivenWorld:
         assert world.wake_notify_misses == 0
 
     def test_run_attach_is_idempotent_with_prewired_world(self):
-        config = RuntimeConfig(
-            version=Version.V2021_3_6_EAGER,
-            flags=_flags(sched_event_loop=True),
-        )
+        config = RuntimeConfig(version=Version.V2021_3_6_EAGER)
         world = build_world(config, ranks=4)
         loop = EventLoopScheduler(4)
         world.attach_scheduler(loop)  # spmd_run's wiring, done up front
@@ -144,10 +142,16 @@ class TestObservableFallbacks:
 class TestSpmdRunStillWired:
     """The classic entry point routes everything through the fabric."""
 
-    @pytest.mark.parametrize("event_loop", [False, True])
-    def test_offnode_run_loses_no_notifications(self, event_loop):
+    @pytest.mark.parametrize("continuation", [False, True])
+    def test_offnode_run_loses_no_notifications(
+        self, monkeypatch, continuation
+    ):
+        from repro.apps import gups
         from repro.apps.gups import GupsConfig, run_gups
 
+        monkeypatch.setattr(
+            gups, "_gups_body", rank_body(gups._gups_body, continuation)
+        )
         res = run_gups(
             GupsConfig(variant="amo_future", table_log2=8,
                        updates_per_rank=16, batch=8),
@@ -156,15 +160,13 @@ class TestSpmdRunStillWired:
             conduit="udp",
             machine="ibm",
             version=Version.V2021_3_6_EAGER,
-            flags=_flags(sched_event_loop=event_loop),
         )
         assert res.matches_oracle
 
     def test_world_scheduler_attached(self):
         trace: list = []
         res = spmd_run(
-            _storm_body, ranks=3, flags=_flags(sched_event_loop=True),
-            args=(2,), switch_trace=trace,
+            _storm_body, ranks=3, args=(2,), switch_trace=trace,
         )
         assert res.world.scheduler is not None
         assert res.world.wake_notify_misses == 0

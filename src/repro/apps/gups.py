@@ -119,6 +119,14 @@ from repro.sim.stats import (
     progress_stats,
 )
 
+# Enum members bound once: on Python 3.10/3.11 every ``CostAction.X`` or
+# ``Event.X`` read runs ``EnumType.__getattr__`` (3.12 dropped the hook).
+_FUNCTION_CALL = CostAction.FUNCTION_CALL
+_DRAM_RANDOM_ACCESS = CostAction.DRAM_RANDOM_ACCESS
+_CPU_LOAD = CostAction.CPU_LOAD
+_CPU_STORE = CostAction.CPU_STORE
+
+
 #: the paper's six variants (Figures 5-7 grid)
 PAPER_GUPS_VARIANTS = (
     "raw",
@@ -273,12 +281,13 @@ def oracle_table(cfg: GupsConfig, ranks: int) -> np.ndarray:
 def _charge_update_work(ctx) -> None:
     """The per-update application work common to every variant: the HPCC
     RNG step, masking/index arithmetic, and the random DRAM touch."""
-    ctx.charge(CostAction.FUNCTION_CALL, 3)
-    ctx.charge(CostAction.DRAM_RANDOM_ACCESS)
+    ctx.charge(_FUNCTION_CALL, 3)
+    ctx.charge(_DRAM_RANDOM_ACCESS)
 
 
 def _gups_body(cfg: GupsConfig):
-    """The SPMD body; returns this rank's xor over its owned table part.
+    """The SPMD body; returns ``(solve_ns, xor of the owned table part,
+    the owned table part, xor of this rank's update stream)``.
 
     Written as a generator continuation (``yield from`` at every blocking
     construct) so the event-loop scheduler resumes it in place.
@@ -310,7 +319,10 @@ def _gups_body(cfg: GupsConfig):
     yield from barrier_gen()
     solve_ns = ctx.clock.elapsed_since("solve")
     local_xor = int(np.bitwise_xor.reduce(view)) if per_rank else 0
-    return solve_ns, local_xor, view.copy()
+    stream_xor = 0
+    for ran in stream:
+        stream_xor ^= ran
+    return solve_ns, local_xor, view.copy(), stream_xor
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +348,8 @@ def _run_raw(ctx, cfg, bases, per_rank, stream):
         idx = ran & (len(bases) * per_rank - 1)
         v = views[idx // per_rank]
         off = idx % per_rank
-        ctx.charge(CostAction.CPU_LOAD)
-        ctx.charge(CostAction.CPU_STORE)
+        ctx.charge(_CPU_LOAD)
+        ctx.charge(_CPU_STORE)
         v[off] = v[off] ^ np.uint64(ran)
 
 
@@ -348,9 +360,9 @@ def _run_manual(ctx, cfg, bases, per_rank, stream):
         dest = _target(bases, per_rank, ran)
         if dest.is_local(ctx):
             ref = dest.local(ctx)
-            ctx.charge(CostAction.CPU_LOAD)
+            ctx.charge(_CPU_LOAD)
             old = ref.segment.read_scalar(ref.offset, ref.ts)
-            ctx.charge(CostAction.CPU_STORE)
+            ctx.charge(_CPU_STORE)
             ref.segment.write_scalar(ref.offset, ref.ts, (old ^ ran) & _MASK64)
         else:  # pragma: no cover - single-node runs never take this path
             from repro.rma import rget
@@ -375,7 +387,7 @@ def _run_rma_promise(ctx, cfg, bases, per_rank, stream):
         yield from p.finalize().wait_gen()
         p2 = Promise()
         for i, ran in enumerate(chunk):
-            ctx.charge(CostAction.CPU_LOAD)
+            ctx.charge(_CPU_LOAD)
             val = (int(sview[i]) ^ ran) & _MASK64
             rput(val, targets[i], operation_cx.as_promise(p2))
         yield from p2.finalize().wait_gen()
@@ -397,7 +409,7 @@ def _run_rma_future(ctx, cfg, bases, per_rank, stream):
         yield from fut.wait_gen()
         fut = make_future()
         for i, ran in enumerate(chunk):
-            ctx.charge(CostAction.CPU_LOAD)
+            ctx.charge(_CPU_LOAD)
             val = (int(sview[i]) ^ ran) & _MASK64
             fut = when_all(fut, rput(val, targets[i]))
         yield from fut.wait_gen()
@@ -447,8 +459,8 @@ def _run_agg(ctx, cfg, bases, per_rank, stream):
 
     def apply_update(offset, ran):
         tctx = current_ctx()
-        tctx.charge(CostAction.CPU_LOAD)
-        tctx.charge(CostAction.CPU_STORE)
+        tctx.charge(_CPU_LOAD)
+        tctx.charge(_CPU_STORE)
         seg = tctx.segment
         old = seg.read_scalar(offset, ts)
         seg.write_scalar(offset, ts, (int(old) ^ ran) & _MASK64)
@@ -488,7 +500,7 @@ def _run_prog_adaptive(ctx, cfg, bases, per_rank, stream):
         # for progress to do, but a polling-driven application cannot know
         # that — the static engine pays a full poll per call here
         for _ in chunk:
-            ctx.charge(CostAction.FUNCTION_CALL)
+            ctx.charge(_FUNCTION_CALL)
             ctx.progress()
 
 
@@ -522,7 +534,7 @@ def _run_wait_hints(ctx, cfg, bases, per_rank, stream):
         # idle polling segment, as in prog_adaptive: the application
         # overlaps local work with polls that (post-wait) find nothing
         for _ in chunk:
-            ctx.charge(CostAction.FUNCTION_CALL)
+            ctx.charge(_FUNCTION_CALL)
             ctx.progress()
 
 
@@ -565,7 +577,7 @@ def _run_cont(ctx, cfg, bases, per_rank, stream):
         # idle polling segment, as in prog_adaptive: the application
         # overlaps local work with polls that (post-drain) find nothing
         for _ in chunk:
-            ctx.charge(CostAction.FUNCTION_CALL)
+            ctx.charge(_FUNCTION_CALL)
             ctx.progress()
 
 
@@ -632,10 +644,13 @@ def run_gups(
     obs_snaps = tuple(observability_snapshots(res.world))
     obs = observability_stats(res.world) if obs_snaps else None
     solve_ns = max(v[0] for v in res.values)
+    # xor commutes, so the race-free table's xor-reduction is the initial
+    # table's xored with every update: no need to rebuild the table
     checksum = 0
-    for _, x, _tbl in res.values:
+    oracle = int(np.bitwise_xor.reduce(np.arange(n, dtype=np.uint64)))
+    for _, x, _tbl, stream_xor in res.values:
         checksum ^= x
-    oracle = int(np.bitwise_xor.reduce(oracle_table(cfg, ranks)))
+        oracle ^= stream_xor
     total = cfg.updates_per_rank * ranks
     return GupsResult(
         config=cfg,

@@ -30,6 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.context import RankContext
 
 
+# Enum members bound once: on Python 3.10/3.11 every ``CostAction.X`` or
+# ``Event.X`` read runs ``EnumType.__getattr__`` (3.12 dropped the hook).
+_HEAP_ALLOC_PROMISE_CELL = CostAction.HEAP_ALLOC_PROMISE_CELL
+_HEAP_FREE = CostAction.HEAP_FREE
+
+
 class PromiseCell:
     """State machine shared by futures (consumers) and promises (producers).
 
@@ -138,8 +144,8 @@ class PromiseCell:
 def _charge_alloc(ctx: "RankContext") -> None:
     # The eventual free is charged at allocation time (amortized); totals
     # are identical and tests can still count allocations exactly.
-    ctx.charge(CostAction.HEAP_ALLOC_PROMISE_CELL)
-    ctx.charge(CostAction.HEAP_FREE)
+    ctx.charge(_HEAP_ALLOC_PROMISE_CELL)
+    ctx.charge(_HEAP_FREE)
 
 
 def alloc_cell(ctx: "RankContext", nvalues: int = 0, deps: int = 1) -> PromiseCell:

@@ -78,29 +78,65 @@ _DEFAULT = "default"
 _EAGER = "eager"
 _DEFER = "defer"
 
+# Enum members bound once: on Python 3.10/3.11 every ``CostAction.X`` or
+# ``Event.X`` read runs ``EnumType.__getattr__`` (3.12 dropped the hook).
+_SOURCE = Event.SOURCE
+_REMOTE = Event.REMOTE
+_OPERATION = Event.OPERATION
+_COMPLETION_PROCESS = CostAction.COMPLETION_PROCESS
+_CX_CONTINUATION_DISPATCH = CostAction.CX_CONTINUATION_DISPATCH
+_CX_COUNTER_SIGNAL = CostAction.CX_COUNTER_SIGNAL
+_CX_COUNTER_TRIP = CostAction.CX_COUNTER_TRIP
+_FUTURE_READY_CHECK = CostAction.FUTURE_READY_CHECK
 
-@dataclass(frozen=True)
+
 class CompletionRequest:
-    """One requested notification: (event, mechanism, eagerness, payload)."""
+    """One requested notification: (event, mechanism, eagerness, payload).
 
-    event: Event
-    kind: str  # future | promise | lpc | rpc | continuation | counter
-    eagerness: str = _DEFAULT  # default | eager | defer
-    promise: Optional[Promise] = None
-    fn: Optional[Callable] = None
-    args: tuple = ()
-    counter: Optional["CxCounter"] = None
+    A value object: nothing assigns to a request after construction, which
+    is what lets the payload-less factories hand out shared constants.
+    """
+
+    __slots__ = ("event", "kind", "eagerness", "promise", "fn", "args",
+                 "counter")
+
+    def __init__(
+        self,
+        event: Event,
+        kind: str,  # future | promise | lpc | rpc | continuation | counter
+        eagerness: str = _DEFAULT,  # default | eager | defer
+        promise: Optional[Promise] = None,
+        fn: Optional[Callable] = None,
+        args: tuple = (),
+        counter: Optional["CxCounter"] = None,
+    ):
+        self.event = event
+        self.kind = kind
+        self.eagerness = eagerness
+        self.promise = promise
+        self.fn = fn
+        self.args = args
+        self.counter = counter
 
     def describe(self) -> str:
         e = "" if self.eagerness == _DEFAULT else f"_{self.eagerness}"
         return f"{self.event.value}_cx::as{e}_{self.kind}"
 
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"CompletionRequest({fields})"
 
-@dataclass(frozen=True)
+
 class Completions:
-    """An ordered composition of completion requests."""
+    """An ordered composition of completion requests (a value object, like
+    :class:`CompletionRequest`)."""
 
-    requests: tuple[CompletionRequest, ...] = ()
+    __slots__ = ("requests",)
+
+    def __init__(self, requests: tuple[CompletionRequest, ...] = ()):
+        self.requests = requests
 
     def __or__(self, other: "Completions") -> "Completions":
         if not isinstance(other, Completions):
@@ -113,59 +149,75 @@ class Completions:
     def __len__(self) -> int:
         return len(self.requests)
 
+    def __repr__(self) -> str:
+        return f"Completions(requests={self.requests!r})"
+
 
 class _CxFactory:
-    """Factory namespace bound to one event kind (``operation_cx`` etc.)."""
+    """Factory namespace bound to one event kind (``operation_cx`` etc.).
 
-    __slots__ = ("_event",)
+    The payload-less requests (``as_future``/``as_eager_future``/
+    ``as_defer_future``) are built once here and shared by every call.
+    """
+
+    __slots__ = ("_event", "_future", "_eager_future", "_defer_future")
 
     def __init__(self, event: Event):
         self._event = event
+        self._future = self._one(_FUTURE)
+        self._eager_future = self._one(_FUTURE, eagerness=_EAGER)
+        self._defer_future = self._one(_FUTURE, eagerness=_DEFER)
 
-    def _one(self, **kw) -> Completions:
-        return Completions((CompletionRequest(event=self._event, **kw),))
+    def _one(self, kind: str, **kw) -> Completions:
+        return Completions((CompletionRequest(self._event, kind, **kw),))
 
     # -- futures -------------------------------------------------------------
 
     def as_future(self) -> Completions:
         """Notify via a future using the build's default discipline."""
-        return self._one(kind=_FUTURE)
+        return self._future
 
     def as_eager_future(self) -> Completions:
         """Permit eager notification (2021.3.6 factories)."""
-        return self._one(kind=_FUTURE, eagerness=_EAGER)
+        return self._eager_future
 
     def as_defer_future(self) -> Completions:
         """Guarantee deferred (legacy) notification."""
-        return self._one(kind=_FUTURE, eagerness=_DEFER)
+        return self._defer_future
 
-    # -- promises ----------------------------------------------------------------
+    # -- promises (built per operation, so inline rather than via _one) ---------
 
     def as_promise(self, p: Promise) -> Completions:
         """Notify by fulfilling ``p``, default discipline."""
-        return self._one(kind=_PROMISE, promise=p)
+        return Completions(
+            (CompletionRequest(self._event, _PROMISE, _DEFAULT, p),)
+        )
 
     def as_eager_promise(self, p: Promise) -> Completions:
-        return self._one(kind=_PROMISE, promise=p, eagerness=_EAGER)
+        return Completions(
+            (CompletionRequest(self._event, _PROMISE, _EAGER, p),)
+        )
 
     def as_defer_promise(self, p: Promise) -> Completions:
-        return self._one(kind=_PROMISE, promise=p, eagerness=_DEFER)
+        return Completions(
+            (CompletionRequest(self._event, _PROMISE, _DEFER, p),)
+        )
 
     # -- procedure calls ---------------------------------------------------------
 
     def as_lpc(self, fn: Callable, *args) -> Completions:
         """Run ``fn(*args)`` on the initiator inside a progress call."""
-        if self._event is Event.REMOTE:
+        if self._event is _REMOTE:
             raise CompletionError("remote completion cannot use an LPC")
-        return self._one(kind=_LPC, fn=fn, args=args)
+        return self._one(_LPC, fn=fn, args=args)
 
     def as_rpc(self, fn: Callable, *args) -> Completions:
         """Run ``fn(*args)`` on the *target* after data arrival (puts only)."""
-        if self._event is not Event.REMOTE:
+        if self._event is not _REMOTE:
             raise CompletionError(
                 "as_rpc is only available for remote completion (remote_cx)"
             )
-        return self._one(kind=_RPC, fn=fn, args=args)
+        return self._one(_RPC, fn=fn, args=args)
 
     # -- notifiable completions (cx_continuations) ---------------------------
 
@@ -180,11 +232,11 @@ class _CxFactory:
         observed early), and an off-node operation dispatches it from
         the progress engine when the ack arrives.
         """
-        if self._event is Event.REMOTE:
+        if self._event is _REMOTE:
             raise CompletionError(
                 "remote completion cannot use a continuation (use as_rpc)"
             )
-        return self._one(kind=_CONTINUATION, fn=fn, args=args)
+        return self._one(_CONTINUATION, fn=fn, args=args)
 
     def as_counter(self, counter: "CxCounter") -> Completions:
         """Signal ``counter`` when this event completes
@@ -194,19 +246,19 @@ class _CxFactory:
         notification when the last one signals — one cell allocation
         and one wake for the whole batch.
         """
-        if self._event is Event.REMOTE:
+        if self._event is _REMOTE:
             raise CompletionError(
                 "remote completion cannot target a counter"
             )
-        return self._one(kind=_COUNTER, counter=counter)
+        return self._one(_COUNTER, counter=counter)
 
 
 #: Source-completion factory namespace (``source_cx`` in UPC++).
-source_cx = _CxFactory(Event.SOURCE)
+source_cx = _CxFactory(_SOURCE)
 #: Remote-completion factory namespace (``remote_cx``).
-remote_cx = _CxFactory(Event.REMOTE)
+remote_cx = _CxFactory(_REMOTE)
 #: Operation-completion factory namespace (``operation_cx``).
-operation_cx = _CxFactory(Event.OPERATION)
+operation_cx = _CxFactory(_OPERATION)
 
 
 class CxCounter:
@@ -274,11 +326,11 @@ class CxCounter:
                 f"CxCounter over-signalled: already got {self._expected}"
             )
         self._signalled += 1
-        ctx.charge(CostAction.CX_COUNTER_SIGNAL)
+        ctx.charge(_CX_COUNTER_SIGNAL)
         if self._signalled == self._expected:
             # the aggregate notification: charged once per counter, then
             # the cell fires callbacks / wakes parked waiters
-            ctx.charge(CostAction.CX_COUNTER_TRIP)
+            ctx.charge(_CX_COUNTER_TRIP)
         self._cell.fulfill()
 
     def add_callback(self, cb: Callable[[], None]) -> None:
@@ -296,7 +348,7 @@ class CxCounter:
         """
         ctx = current_ctx()
         cell = self._cell
-        ctx.charge(CostAction.FUTURE_READY_CHECK)
+        ctx.charge(_FUTURE_READY_CHECK)
         if cell.ready:
             return
         run_blocking(ctx, self._wait_spin_gen(ctx, cell))
@@ -305,7 +357,7 @@ class CxCounter:
         """Generator form of :meth:`wait` for continuation rank bodies."""
         ctx = current_ctx()
         cell = self._cell
-        ctx.charge(CostAction.FUTURE_READY_CHECK)
+        ctx.charge(_FUTURE_READY_CHECK)
         if cell.ready:
             return
         yield from self._wait_spin_gen(ctx, cell)
@@ -316,7 +368,7 @@ class CxCounter:
             return
         while True:
             ctx.progress()
-            ctx.charge(CostAction.FUTURE_READY_CHECK)
+            ctx.charge(_FUTURE_READY_CHECK)
             if cell.ready:
                 return
             yield BlockUntil(
@@ -336,7 +388,7 @@ class CxCounter:
         try:
             while True:
                 ctx.progress()
-                ctx.charge(CostAction.FUTURE_READY_CHECK)
+                ctx.charge(_FUTURE_READY_CHECK)
                 if cell.ready:
                     if obs is not None:
                         obs.on_wait_stall(ctx.clock.now_ns - t0)
@@ -397,7 +449,7 @@ class PendingEvent:
                 # fires from whichever agent observed completion — here,
                 # the progress engine delivering the ack (or a wait-hinted
                 # drain): already inside progress context, dispatch inline
-                self.ctx.charge(CostAction.CX_CONTINUATION_DISPATCH)
+                self.ctx.charge(_CX_CONTINUATION_DISPATCH)
                 req.fn(*req.args, *values)
             elif req.kind == _COUNTER:
                 req.counter.signal(self.ctx)
@@ -440,7 +492,7 @@ class CxDispatcher:
         # result() can hand a hinted wait its flush destination
         self._target_rank: Optional[int] = None
         self._target_local = True
-        ctx.charge(CostAction.COMPLETION_PROCESS)
+        ctx.charge(_COMPLETION_PROCESS)
         flags = ctx.flags
         for req in comps.requests:
             if req.event not in supported:
@@ -534,7 +586,7 @@ class CxDispatcher:
         # event; each request's branch below closes the notification at the
         # instant it becomes user-visible (immediately for eager, from the
         # progress-queue thunk for deferred).
-        span = self._span if event is Event.OPERATION else None
+        span = self._span if event is _OPERATION else None
         if span is not None and span.t_transfer is None:
             span.t_transfer = ctx.clock.now_ns
         for req in self.comps.requests:
@@ -602,7 +654,7 @@ class CxDispatcher:
                 # round trip, even on defer builds (there is no object
                 # whose readiness could have been observed early, so the
                 # legacy semantics have nothing to preserve)
-                ctx.charge(CostAction.CX_CONTINUATION_DISPATCH)
+                ctx.charge(_CX_CONTINUATION_DISPATCH)
                 req.fn(*req.args, *vals)
                 if span is not None:
                     ctx.obs.close_notification(span, ctx.clock.now_ns)
@@ -623,7 +675,7 @@ class CxDispatcher:
         pending = PendingEvent(
             ctx=ctx,
             requests=reqs,
-            span=self._span if event is Event.OPERATION else None,
+            span=self._span if event is _OPERATION else None,
         )
         arity = self.nvalues if event is self.value_event else 0
         for req in reqs:

@@ -27,6 +27,12 @@ from repro.runtime.wait_hints import WaitTarget
 from repro.sim.costmodel import CostAction
 
 
+# Enum members bound once: on Python 3.10/3.11 every ``CostAction.X`` or
+# ``Event.X`` read runs ``EnumType.__getattr__`` (3.12 dropped the hook).
+_FUTURE_READY_CHECK = CostAction.FUTURE_READY_CHECK
+_FUTURE_CALLBACK_SCHEDULE = CostAction.FUTURE_CALLBACK_SCHEDULE
+
+
 class Future:
     """A handle on a :class:`~repro.core.cell.PromiseCell`.
 
@@ -60,7 +66,7 @@ class Future:
 
     def is_ready(self) -> bool:
         """Readiness check (charges one load-like cost)."""
-        current_ctx().charge(CostAction.FUTURE_READY_CHECK)
+        current_ctx().charge(_FUTURE_READY_CHECK)
         return self._cell.ready
 
     def result(self):
@@ -109,10 +115,10 @@ class Future:
             # tests/test_future_edge.py)
             if not self._sched_charged:
                 self._sched_charged = True
-                ctx.charge(CostAction.FUTURE_CALLBACK_SCHEDULE)
+                ctx.charge(_FUTURE_CALLBACK_SCHEDULE)
             return _capture(ctx, fn, cell.result_tuple())
         self._sched_charged = True
-        ctx.charge(CostAction.FUTURE_CALLBACK_SCHEDULE)
+        ctx.charge(_FUTURE_CALLBACK_SCHEDULE)
         # arity is unknown until fn runs; _deliver fixes it before fulfilling
         result_cell = alloc_cell(ctx, nvalues=0, deps=1)
 
@@ -133,7 +139,7 @@ class Future:
         """
         ctx = current_ctx()
         cell = self._cell
-        ctx.charge(CostAction.FUTURE_READY_CHECK)
+        ctx.charge(_FUTURE_READY_CHECK)
         if cell.ready:
             return self._finish_wait(ctx)
         return run_blocking(ctx, self._wait_spin_gen(ctx, cell))
@@ -149,7 +155,7 @@ class Future:
         """
         ctx = current_ctx()
         cell = self._cell
-        ctx.charge(CostAction.FUTURE_READY_CHECK)
+        ctx.charge(_FUTURE_READY_CHECK)
         if cell.ready:
             return self._finish_wait(ctx)
         return (yield from self._wait_spin_gen(ctx, cell))
@@ -161,7 +167,7 @@ class Future:
             return (yield from self._wait_hinted_gen(ctx, cell))
         while True:
             ctx.progress()
-            ctx.charge(CostAction.FUTURE_READY_CHECK)
+            ctx.charge(_FUTURE_READY_CHECK)
             if cell.ready:
                 return self._finish_wait(ctx)
             yield BlockUntil(
@@ -188,7 +194,7 @@ class Future:
         try:
             while True:
                 ctx.progress()
-                ctx.charge(CostAction.FUTURE_READY_CHECK)
+                ctx.charge(_FUTURE_READY_CHECK)
                 if cell.ready:
                     if obs is not None:
                         obs.on_wait_stall(ctx.clock.now_ns - t0)

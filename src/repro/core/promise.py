@@ -20,6 +20,12 @@ from repro.runtime.context import current_ctx
 from repro.sim.costmodel import CostAction
 
 
+# Enum members bound once: on Python 3.10/3.11 every ``CostAction.X`` or
+# ``Event.X`` read runs ``EnumType.__getattr__`` (3.12 dropped the hook).
+_PROMISE_REGISTER = CostAction.PROMISE_REGISTER
+_PROMISE_FULFILL = CostAction.PROMISE_FULFILL
+
+
 class Promise:
     """An explicitly allocated completion counter.
 
@@ -48,12 +54,12 @@ class Promise:
             raise PromiseError("cannot require a negative dependency count")
         if self._finalized:
             raise PromiseError("require_anonymous after finalize")
-        current_ctx().charge(CostAction.PROMISE_REGISTER)
+        current_ctx().charge(_PROMISE_REGISTER)
         self._cell.add_deps(n)
 
     def fulfill_anonymous(self, n: int = 1) -> None:
         """Clear ``n`` previously registered dependencies."""
-        current_ctx().charge(CostAction.PROMISE_FULFILL)
+        current_ctx().charge(_PROMISE_FULFILL)
         # the master (finalize) dependency is not fulfillable anonymously
         outstanding = self._cell.deps - (0 if self._finalized else 1)
         if n > outstanding:
@@ -66,7 +72,7 @@ class Promise:
     def fulfill_result(self, *values) -> None:
         """Supply the result values and clear one dependency (for
         value-producing promises tracking their single operation)."""
-        current_ctx().charge(CostAction.PROMISE_FULFILL)
+        current_ctx().charge(_PROMISE_FULFILL)
         if self._cell.nvalues != len(values):
             raise PromiseError(
                 f"promise expects {self._cell.nvalues} values, "

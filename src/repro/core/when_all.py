@@ -28,6 +28,13 @@ from repro.runtime.context import current_ctx
 from repro.sim.costmodel import CostAction
 
 
+# Enum members bound once: on Python 3.10/3.11 every ``CostAction.X`` or
+# ``Event.X`` read runs ``EnumType.__getattr__`` (3.12 dropped the hook).
+_FUTURE_READY_CHECK = CostAction.FUTURE_READY_CHECK
+_WHEN_ALL_NODE_BUILD = CostAction.WHEN_ALL_NODE_BUILD
+_DEP_GRAPH_RESOLVE_EDGE = CostAction.DEP_GRAPH_RESOLVE_EDGE
+
+
 def when_all(*inputs) -> Future:
     """Combine futures/values into a single future.
 
@@ -49,7 +56,7 @@ def _try_shortcut(ctx, futures: list[Future]) -> Future | None:
     """Apply the §III-C rules; None means 'use the graph'."""
     contributor: Future | None = None
     for fut in futures:
-        ctx.charge(CostAction.FUTURE_READY_CHECK)
+        ctx.charge(_FUTURE_READY_CHECK)
         cell = fut._cell
         if cell.ready and cell.nvalues == 0:
             continue  # contributes neither values nor readiness
@@ -68,7 +75,7 @@ def _try_shortcut(ctx, futures: list[Future]) -> Future | None:
 
 def _build_conjoined(ctx, futures: list[Future]) -> Future:
     """Legacy dependency-graph construction."""
-    ctx.charge(CostAction.WHEN_ALL_NODE_BUILD)
+    ctx.charge(_WHEN_ALL_NODE_BUILD)
     total_values = sum(f._cell.nvalues for f in futures)
     pending = [f for f in futures if not f._cell.ready]
     result = alloc_cell(
@@ -86,7 +93,7 @@ def _build_conjoined(ctx, futures: list[Future]) -> Future:
     if not pending:
         # inputs all ready but shortcuts disabled (or value-bearing):
         # the graph node still gets built, then resolves immediately.
-        ctx.charge(CostAction.DEP_GRAPH_RESOLVE_EDGE, len(futures))
+        ctx.charge(_DEP_GRAPH_RESOLVE_EDGE, len(futures))
         finish()
         result.fulfill(1)
         return Future(result)
@@ -95,7 +102,7 @@ def _build_conjoined(ctx, futures: list[Future]) -> Future:
 
     def on_input_ready(_vals: tuple) -> None:
         nonlocal remaining
-        ctx.charge(CostAction.DEP_GRAPH_RESOLVE_EDGE)
+        ctx.charge(_DEP_GRAPH_RESOLVE_EDGE)
         remaining -= 1
         if remaining == 0:
             finish()
@@ -104,5 +111,5 @@ def _build_conjoined(ctx, futures: list[Future]) -> Future:
     for f in pending:
         f._cell.add_callback(on_input_ready)
     # edges to already-ready inputs are resolved at construction time
-    ctx.charge(CostAction.DEP_GRAPH_RESOLVE_EDGE, len(futures) - len(pending))
+    ctx.charge(_DEP_GRAPH_RESOLVE_EDGE, len(futures) - len(pending))
     return Future(result)

@@ -26,6 +26,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.context import RankContext
 
 
+# Enum members bound once: on Python 3.10/3.11 every ``CostAction.X`` or
+# ``Event.X`` read runs ``EnumType.__getattr__`` (3.12 dropped the hook).
+_LOCALITY_BRANCH = CostAction.LOCALITY_BRANCH
+_GPTR_DOWNCAST = CostAction.GPTR_DOWNCAST
+_CPU_LOAD = CostAction.CPU_LOAD
+_CPU_STORE = CostAction.CPU_STORE
+
+
 class GlobalPtr:
     """A typed global pointer ``(rank, byte offset, element type)``.
 
@@ -38,9 +46,9 @@ class GlobalPtr:
     NULL: "GlobalPtr"
 
     def __init__(self, rank: int, offset: int, ts: TypeSpec | str):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "ts", type_spec(ts))
+        _set_rank(self, rank)
+        _set_offset(self, offset)
+        _set_ts(self, type_spec(ts))
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("GlobalPtr is immutable")
@@ -70,10 +78,10 @@ class GlobalPtr:
 
             ctx = current_ctx()
         if self.rank < 0:  # null
-            ctx.charge(CostAction.LOCALITY_BRANCH)
+            ctx.charge(_LOCALITY_BRANCH)
             return False
         if ctx.charges_locality_branch:
-            ctx.charge(CostAction.LOCALITY_BRANCH)
+            ctx.charge(_LOCALITY_BRANCH)
         return ctx.is_local_rank(self.rank)
 
     def local(self, ctx: "RankContext | None" = None) -> "LocalRef":
@@ -93,15 +101,22 @@ class GlobalPtr:
                 f"global pointer to rank {self.rank} is not locally "
                 f"addressable from rank {ctx.rank}"
             )
-        ctx.charge(CostAction.GPTR_DOWNCAST)
+        ctx.charge(_GPTR_DOWNCAST)
         return LocalRef(ctx.world.segment_of(self.rank), self.offset, self.ts)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, n: int) -> "GlobalPtr":
-        if self.is_null:
+        rank = self.rank
+        if rank < 0:
             raise InvalidGlobalPointer("arithmetic on a null global pointer")
-        return GlobalPtr(self.rank, self.offset + n * self.ts.size, self.ts)
+        # the element type is already resolved: skip __init__'s type_spec
+        ts = self.ts
+        out = _new(GlobalPtr)
+        _set_rank(out, rank)
+        _set_offset(out, self.offset + n * ts.size)
+        _set_ts(out, ts)
+        return out
 
     def __radd__(self, n: int) -> "GlobalPtr":
         return self.__add__(n)
@@ -144,6 +159,13 @@ class GlobalPtr:
         return f"GlobalPtr(rank={self.rank}, offset={self.offset}, ts={self.ts.name})"
 
 
+# The slot descriptors write past the immutability guard in __setattr__
+# without the cost of object.__setattr__.
+_new = object.__new__
+_set_rank = GlobalPtr.rank.__set__
+_set_offset = GlobalPtr.offset.__set__
+_set_ts = GlobalPtr.ts.__set__
+
 GlobalPtr.NULL = GlobalPtr(-1, 0, "u8")
 
 
@@ -166,7 +188,7 @@ class LocalRef:
         """Load the element at ``index`` (charges one CPU load)."""
         from repro.runtime.context import current_ctx
 
-        current_ctx().charge(CostAction.CPU_LOAD)
+        current_ctx().charge(_CPU_LOAD)
         return self.segment.read_scalar(
             self.offset + index * self.ts.size, self.ts
         )
@@ -175,7 +197,7 @@ class LocalRef:
         """Store ``value`` at ``index`` (charges one CPU store)."""
         from repro.runtime.context import current_ctx
 
-        current_ctx().charge(CostAction.CPU_STORE)
+        current_ctx().charge(_CPU_STORE)
         self.segment.write_scalar(
             self.offset + index * self.ts.size, self.ts, value
         )

@@ -27,14 +27,27 @@ from repro.memory.global_ptr import GlobalPtr, LocalRef
 from repro.runtime.context import current_ctx
 from repro.sim.costmodel import CostAction
 
-_GET_EVENTS = frozenset({Event.SOURCE, Event.OPERATION})
+# Enum members bound once: on Python 3.10/3.11 every ``CostAction.X`` or
+# ``Event.X`` read runs ``EnumType.__getattr__`` (3.12 dropped the hook).
+_SOURCE = Event.SOURCE
+_OPERATION = Event.OPERATION
+_RMA_CALL_OVERHEAD = CostAction.RMA_CALL_OVERHEAD
+_HEAP_ALLOC_OP_DESCRIPTOR = CostAction.HEAP_ALLOC_OP_DESCRIPTOR
+_HEAP_FREE = CostAction.HEAP_FREE
+_GPTR_DOWNCAST = CostAction.GPTR_DOWNCAST
+_CPU_LOAD = CostAction.CPU_LOAD
+_MEMCPY_8B = CostAction.MEMCPY_8B
+_MEMCPY_PER_BYTE = CostAction.MEMCPY_PER_BYTE
+_LOCALITY_BRANCH = CostAction.LOCALITY_BRANCH
+
+_GET_EVENTS = frozenset({_SOURCE, _OPERATION})
 
 
 def rget(src: GlobalPtr, comps: Optional[Completions] = None):
     """Read one element from ``src``; the operation event carries the
     value (``future<T>``)."""
     ctx = current_ctx()
-    ctx.charge(CostAction.RMA_CALL_OVERHEAD)
+    ctx.charge(_RMA_CALL_OVERHEAD)
     if src.is_null:
         raise InvalidGlobalPointer("rget from a null global pointer")
     if comps is None:
@@ -43,19 +56,19 @@ def rget(src: GlobalPtr, comps: Optional[Completions] = None):
         ctx,
         comps,
         supported=_GET_EVENTS,
-        value_event=Event.OPERATION,
+        value_event=_OPERATION,
         nvalues=1,
         op_name="rget",
     )
     if src.is_local(ctx):
         if not ctx.flags.elide_local_rma_alloc:
-            ctx.charge(CostAction.HEAP_ALLOC_OP_DESCRIPTOR)
-            ctx.charge(CostAction.HEAP_FREE)
-        ctx.charge(CostAction.GPTR_DOWNCAST)
-        ctx.charge(CostAction.CPU_LOAD)
+            ctx.charge(_HEAP_ALLOC_OP_DESCRIPTOR)
+            ctx.charge(_HEAP_FREE)
+        ctx.charge(_GPTR_DOWNCAST)
+        ctx.charge(_CPU_LOAD)
         disp.mark_injected(src.rank, src.ts.size, local=True)
         value = ctx.world.segment_of(src.rank).read_scalar(src.offset, src.ts)
-        disp.notify_sync(Event.OPERATION, (value,))
+        disp.notify_sync(_OPERATION, (value,))
         return disp.result()
     return _remote_get(ctx, disp, src, count=None, dest=None)
 
@@ -69,7 +82,7 @@ def rget_into(
     """Read ``count`` elements from ``src`` into caller-owned local memory
     (``dest``); notification is value-less (``future<>``)."""
     ctx = current_ctx()
-    ctx.charge(CostAction.RMA_CALL_OVERHEAD)
+    ctx.charge(_RMA_CALL_OVERHEAD)
     if src.is_null:
         raise InvalidGlobalPointer("rget_into from a null global pointer")
     if count < 1:
@@ -83,19 +96,19 @@ def rget_into(
     nbytes = count * src.ts.size
     if src.is_local(ctx):
         if not ctx.flags.elide_local_rma_alloc:
-            ctx.charge(CostAction.HEAP_ALLOC_OP_DESCRIPTOR)
-            ctx.charge(CostAction.HEAP_FREE)
-        ctx.charge(CostAction.GPTR_DOWNCAST)
+            ctx.charge(_HEAP_ALLOC_OP_DESCRIPTOR)
+            ctx.charge(_HEAP_FREE)
+        ctx.charge(_GPTR_DOWNCAST)
         disp.mark_injected(src.rank, nbytes, local=True)
         data = ctx.world.segment_of(src.rank).read_array(
             src.offset, src.ts, count
         )
         if nbytes <= 8:
-            ctx.charge(CostAction.MEMCPY_8B)
+            ctx.charge(_MEMCPY_8B)
         else:
-            ctx.charge_bytes(CostAction.MEMCPY_PER_BYTE, nbytes)
+            ctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
         dest_ref.segment.write_array(dest_ref.offset, dest_ref.ts, data)
-        disp.notify_sync(Event.OPERATION)
+        disp.notify_sync(_OPERATION)
         return disp.result()
     return _remote_get(ctx, disp, src, count=count, dest=dest_ref)
 
@@ -104,7 +117,7 @@ def rget_bulk(src: GlobalPtr, count: int, comps: Optional[Completions] = None):
     """Read ``count`` elements; the operation event carries a numpy array
     (value-producing bulk get)."""
     ctx = current_ctx()
-    ctx.charge(CostAction.RMA_CALL_OVERHEAD)
+    ctx.charge(_RMA_CALL_OVERHEAD)
     if src.is_null:
         raise InvalidGlobalPointer("rget_bulk from a null global pointer")
     if count < 1:
@@ -115,22 +128,22 @@ def rget_bulk(src: GlobalPtr, count: int, comps: Optional[Completions] = None):
         ctx,
         comps,
         supported=_GET_EVENTS,
-        value_event=Event.OPERATION,
+        value_event=_OPERATION,
         nvalues=1,
         op_name="rget_bulk",
     )
     nbytes = count * src.ts.size
     if src.is_local(ctx):
         if not ctx.flags.elide_local_rma_alloc:
-            ctx.charge(CostAction.HEAP_ALLOC_OP_DESCRIPTOR)
-            ctx.charge(CostAction.HEAP_FREE)
-        ctx.charge(CostAction.GPTR_DOWNCAST)
+            ctx.charge(_HEAP_ALLOC_OP_DESCRIPTOR)
+            ctx.charge(_HEAP_FREE)
+        ctx.charge(_GPTR_DOWNCAST)
         disp.mark_injected(src.rank, nbytes, local=True)
-        ctx.charge_bytes(CostAction.MEMCPY_PER_BYTE, nbytes)
+        ctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
         data = ctx.world.segment_of(src.rank).read_array(
             src.offset, src.ts, count
         )
-        disp.notify_sync(Event.OPERATION, (data,))
+        disp.notify_sync(_OPERATION, (data,))
         return disp.result()
     return _remote_get(ctx, disp, src, count=count, dest=None, bulk=True)
 
@@ -152,11 +165,11 @@ def _resolve_dest(ctx, dest: Union[GlobalPtr, LocalRef]) -> LocalRef:
 def _remote_get(ctx, disp, src: GlobalPtr, *, count, dest, bulk=False):
     """Off-node request/reply; the reply carries the data."""
     if ctx.flags.eager_notification:
-        ctx.charge(CostAction.LOCALITY_BRANCH)  # the one extra branch
-    ctx.charge(CostAction.HEAP_ALLOC_OP_DESCRIPTOR)
-    ctx.charge(CostAction.HEAP_FREE)
-    disp.notify_sync(Event.SOURCE)
-    pending = disp.pend(Event.OPERATION)
+        ctx.charge(_LOCALITY_BRANCH)  # the one extra branch
+    ctx.charge(_HEAP_ALLOC_OP_DESCRIPTOR)
+    ctx.charge(_HEAP_FREE)
+    disp.notify_sync(_SOURCE)
+    pending = disp.pend(_OPERATION)
     initiator = ctx.rank
     n = count or 1
     nbytes = n * src.ts.size
@@ -164,16 +177,16 @@ def _remote_get(ctx, disp, src: GlobalPtr, *, count, dest, bulk=False):
     def on_target(tctx):
         seg = tctx.world.segment_of(src.rank)
         if count is None:
-            tctx.charge(CostAction.CPU_LOAD)
+            tctx.charge(_CPU_LOAD)
             data = seg.read_scalar(src.offset, src.ts)
         else:
-            tctx.charge_bytes(CostAction.MEMCPY_PER_BYTE, nbytes)
+            tctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
             data = seg.read_array(src.offset, src.ts, count)
 
         def on_reply(ictx, data=data):
             if dest is not None:
                 dest.segment.write_array(dest.offset, dest.ts, data)
-                ictx.charge_bytes(CostAction.MEMCPY_PER_BYTE, nbytes)
+                ictx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
                 pending.complete(())
             elif count is None:
                 pending.complete((data,))

@@ -20,7 +20,20 @@ from repro.memory.global_ptr import GlobalPtr
 from repro.runtime.context import current_ctx
 from repro.sim.costmodel import CostAction
 
-_PUT_EVENTS = frozenset({Event.SOURCE, Event.REMOTE, Event.OPERATION})
+# Enum members bound once: on Python 3.10/3.11 every ``CostAction.X`` or
+# ``Event.X`` read runs ``EnumType.__getattr__`` (3.12 dropped the hook).
+_SOURCE = Event.SOURCE
+_REMOTE = Event.REMOTE
+_OPERATION = Event.OPERATION
+_HEAP_ALLOC_OP_DESCRIPTOR = CostAction.HEAP_ALLOC_OP_DESCRIPTOR
+_HEAP_FREE = CostAction.HEAP_FREE
+_GPTR_DOWNCAST = CostAction.GPTR_DOWNCAST
+_MEMCPY_8B = CostAction.MEMCPY_8B
+_MEMCPY_PER_BYTE = CostAction.MEMCPY_PER_BYTE
+_LOCALITY_BRANCH = CostAction.LOCALITY_BRANCH
+_RMA_CALL_OVERHEAD = CostAction.RMA_CALL_OVERHEAD
+
+_PUT_EVENTS = frozenset({_SOURCE, _REMOTE, _OPERATION})
 
 
 def _ship_remote_rpcs(ctx, disp: CxDispatcher, dest_rank: int) -> None:
@@ -44,18 +57,18 @@ def _local_put(ctx, disp: CxDispatcher, dest: GlobalPtr, write, nbytes: int):
     """Shared-memory-bypass path: synchronous data movement."""
     if not ctx.flags.elide_local_rma_alloc:
         # 2021.3.0: extra op-descriptor allocation even for local targets
-        ctx.charge(CostAction.HEAP_ALLOC_OP_DESCRIPTOR)
-        ctx.charge(CostAction.HEAP_FREE)
-    ctx.charge(CostAction.GPTR_DOWNCAST)
+        ctx.charge(_HEAP_ALLOC_OP_DESCRIPTOR)
+        ctx.charge(_HEAP_FREE)
+    ctx.charge(_GPTR_DOWNCAST)
     disp.mark_injected(dest.rank, nbytes, local=True)
     write()
     if nbytes <= 8:
-        ctx.charge(CostAction.MEMCPY_8B)
+        ctx.charge(_MEMCPY_8B)
     else:
-        ctx.charge_bytes(CostAction.MEMCPY_PER_BYTE, nbytes)
+        ctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
     _ship_remote_rpcs(ctx, disp, dest.rank)
-    disp.notify_sync(Event.SOURCE)
-    disp.notify_sync(Event.OPERATION)
+    disp.notify_sync(_SOURCE)
+    disp.notify_sync(_OPERATION)
     return disp.result()
 
 
@@ -63,11 +76,11 @@ def _remote_put(ctx, disp: CxDispatcher, dest: GlobalPtr, payload, nbytes: int):
     """Off-node path: request/reply AM pair, deferred completion."""
     if ctx.flags.eager_notification:
         # the one branch eager support adds to the off-node path (§IV-A)
-        ctx.charge(CostAction.LOCALITY_BRANCH)
-    ctx.charge(CostAction.HEAP_ALLOC_OP_DESCRIPTOR)
-    ctx.charge(CostAction.HEAP_FREE)
-    disp.notify_sync(Event.SOURCE)  # payload captured at injection
-    pending = disp.pend(Event.OPERATION)
+        ctx.charge(_LOCALITY_BRANCH)
+    ctx.charge(_HEAP_ALLOC_OP_DESCRIPTOR)
+    ctx.charge(_HEAP_FREE)
+    disp.notify_sync(_SOURCE)  # payload captured at injection
+    pending = disp.pend(_OPERATION)
     rpc_reqs = disp.rpc_requests()
     initiator = ctx.rank
 
@@ -76,12 +89,12 @@ def _remote_put(ctx, disp: CxDispatcher, dest: GlobalPtr, payload, nbytes: int):
             tctx.world.segment_of(dest.rank).write_scalar(
                 dest.offset, dest.ts, payload
             )
-            tctx.charge(CostAction.MEMCPY_8B)
+            tctx.charge(_MEMCPY_8B)
         else:
             tctx.world.segment_of(dest.rank).write_array(
                 dest.offset, dest.ts, payload
             )
-            tctx.charge_bytes(CostAction.MEMCPY_PER_BYTE, nbytes)
+            tctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
         for req in rpc_reqs:
             req.fn(*req.args)
         tctx.conduit.send_am(
@@ -107,7 +120,7 @@ def rput(value, dest: GlobalPtr, comps: Optional[Completions] = None):
     requested completions (default: ``operation_cx.as_future()``).
     """
     ctx = current_ctx()
-    ctx.charge(CostAction.RMA_CALL_OVERHEAD)
+    ctx.charge(_RMA_CALL_OVERHEAD)
     if dest.is_null:
         raise InvalidGlobalPointer("rput to a null global pointer")
     if comps is None:
@@ -131,7 +144,7 @@ def rput_bulk(values, dest: GlobalPtr, comps: Optional[Completions] = None):
     ``values`` is any 1-D sequence convertible to the destination dtype.
     """
     ctx = current_ctx()
-    ctx.charge(CostAction.RMA_CALL_OVERHEAD)
+    ctx.charge(_RMA_CALL_OVERHEAD)
     if dest.is_null:
         raise InvalidGlobalPointer("rput_bulk to a null global pointer")
     arr = np.asarray(values, dtype=dest.ts.dtype)

@@ -50,6 +50,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.adaptive_progress import AdaptiveProgressController
     from repro.runtime.context import RankContext
 
+# Enum members bound once: on Python 3.10/3.11 every ``CostAction.X`` or
+# ``Event.X`` read runs ``EnumType.__getattr__`` (3.12 dropped the hook).
+_PROGRESS_QUEUE_ENQUEUE = CostAction.PROGRESS_QUEUE_ENQUEUE
+_LPC_ENQUEUE = CostAction.LPC_ENQUEUE
+_PROGRESS_POLL = CostAction.PROGRESS_POLL
+_PROGRESS_DISPATCH = CostAction.PROGRESS_DISPATCH
+_PROGRESS_POLL_SKIP = CostAction.PROGRESS_POLL_SKIP
+_PROGRESS_ADAPT = CostAction.PROGRESS_ADAPT
+_PROGRESS_HINT_SCAN = CostAction.PROGRESS_HINT_SCAN
+
+
 Thunk = Callable[[], None]
 
 
@@ -87,7 +98,7 @@ class ProgressEngine:
             # batch cap left behind past their age bound (the progress-queue
             # analogue of the aggregator's flush-at-next-conduit-activity)
             self._drain_aged(ctx, ctl)
-        ctx.charge(CostAction.PROGRESS_QUEUE_ENQUEUE)
+        ctx.charge(_PROGRESS_QUEUE_ENQUEUE)
         self._deferred.append((ctx.clock.now_ns, thunk, cell))
 
     def enqueue_lpc(self, thunk: Thunk, cell: object = None) -> None:
@@ -96,7 +107,7 @@ class ProgressEngine:
         ctl = ctx.progress_ctl
         if ctl is not None and not self._in_progress:
             self._drain_aged(ctx, ctl)
-        ctx.charge(CostAction.LPC_ENQUEUE)
+        ctx.charge(_LPC_ENQUEUE)
         self._lpcs.append((ctx.clock.now_ns, thunk, cell))
 
     def register_poller(self, poll: Callable[[], bool]) -> None:
@@ -152,7 +163,7 @@ class ProgressEngine:
         ctl = ctx.progress_ctl
         if ctl is not None:
             return self._progress_adaptive(ctx, ctl)
-        ctx.charge(CostAction.PROGRESS_POLL)
+        ctx.charge(_PROGRESS_POLL)
         self._in_progress = True
         did_work = False
         obs = ctx.obs
@@ -180,13 +191,13 @@ class ProgressEngine:
             while self._deferred or self._lpcs:
                 while self._deferred:
                     thunk = self._deferred.popleft()[1]
-                    ctx.charge(CostAction.PROGRESS_DISPATCH)
+                    ctx.charge(_PROGRESS_DISPATCH)
                     thunk()
                     did_work = True
                     dispatched += 1
                 while self._lpcs:
                     lpc = self._lpcs.popleft()[1]
-                    ctx.charge(CostAction.PROGRESS_DISPATCH)
+                    ctx.charge(_PROGRESS_DISPATCH)
                     lpc()
                     did_work = True
                     dispatched += 1
@@ -225,11 +236,11 @@ class ProgressEngine:
         self, ctx: "RankContext", ctl: "AdaptiveProgressController"
     ) -> bool:
         if ctl.may_skip() and self._can_elide(ctx):
-            ctx.charge(CostAction.PROGRESS_POLL_SKIP)
+            ctx.charge(_PROGRESS_POLL_SKIP)
             ctl.on_skip()
             return False
-        ctx.charge(CostAction.PROGRESS_POLL)
-        ctx.charge(CostAction.PROGRESS_ADAPT)
+        ctx.charge(_PROGRESS_POLL)
+        ctx.charge(_PROGRESS_ADAPT)
         self._in_progress = True
         did_work = False
         obs = ctx.obs
@@ -271,7 +282,7 @@ class ProgressEngine:
                 else:
                     queue = self._deferred if self._deferred else self._lpcs
                 thunk = queue.popleft()[1]
-                ctx.charge(CostAction.PROGRESS_DISPATCH)
+                ctx.charge(_PROGRESS_DISPATCH)
                 thunk()
                 did_work = True
                 dispatched += 1
@@ -313,7 +324,7 @@ class ProgressEngine:
         ):
             return
         # the mini-drain is a (partial) pass of the engine: model it as one
-        ctx.charge(CostAction.PROGRESS_POLL)
+        ctx.charge(_PROGRESS_POLL)
         self._in_progress = True
         dispatched = 0
         try:
@@ -326,7 +337,7 @@ class ProgressEngine:
                 else:
                     break
                 thunk = queue.popleft()[1]
-                ctx.charge(CostAction.PROGRESS_DISPATCH)
+                ctx.charge(_PROGRESS_DISPATCH)
                 thunk()
                 dispatched += 1
         finally:
@@ -348,7 +359,7 @@ class ProgressEngine:
         accounting (``oldest_pending_age_ns``) remains valid.  Only
         called between ``_in_progress = True``/``False`` of a poll.
         """
-        ctx.charge(CostAction.PROGRESS_HINT_SCAN)
+        ctx.charge(_PROGRESS_HINT_SCAN)
         matched: list[Thunk] = []
         for name in ("_deferred", "_lpcs"):
             queue = getattr(self, name)
@@ -362,7 +373,7 @@ class ProgressEngine:
             )
             setattr(self, name, kept)
         for thunk in matched:
-            ctx.charge(CostAction.PROGRESS_DISPATCH)
+            ctx.charge(_PROGRESS_DISPATCH)
             thunk()
         return len(matched)
 

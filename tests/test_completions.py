@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import new_array, rget_into, rput
 from repro.core.completions import (
     Completions,
     CxDispatcher,
@@ -13,9 +14,13 @@ from repro.core.events import Event
 from repro.core.promise import Promise
 from repro.errors import CompletionError
 from repro.runtime.config import Version
+from repro.runtime.runtime import spmd_run
 from repro.sim.costmodel import CostAction
 
 ALL = frozenset({Event.SOURCE, Event.REMOTE, Event.OPERATION})
+FACTORIES = {"source": source_cx, "remote": remote_cx,
+             "operation": operation_cx}
+PAYLOADLESS = ("as_future", "as_eager_future", "as_defer_future")
 
 
 class TestDsl:
@@ -242,3 +247,135 @@ class TestPendDispatch:
         c2 = versioned_ctx(Version.V2021_3_6_DEFER)
         d3 = CxDispatcher(c2, operation_cx.as_future(), supported=ALL)
         assert d3.any_deferred()
+
+
+def _fn(*args):
+    return None
+
+
+#: stand-ins for a promise and a counter: the factories only store them
+_PROMISE = object()
+_COUNTER = object()
+
+_FN_FIELDS = (None, _fn, (1, 2), None)
+_NO_PAYLOAD = (None, None, (), None)
+
+#: factory -> (arguments, the request's fields after ``event``, events
+#: the factory rejects)
+FACTORY_TABLE = {
+    "as_future": ((), ("future", "default", *_NO_PAYLOAD), ()),
+    "as_eager_future": ((), ("future", "eager", *_NO_PAYLOAD), ()),
+    "as_defer_future": ((), ("future", "defer", *_NO_PAYLOAD), ()),
+    "as_promise": ((_PROMISE,),
+                   ("promise", "default", _PROMISE, None, (), None), ()),
+    "as_eager_promise": ((_PROMISE,),
+                         ("promise", "eager", _PROMISE, None, (), None), ()),
+    "as_defer_promise": ((_PROMISE,),
+                         ("promise", "defer", _PROMISE, None, (), None), ()),
+    "as_lpc": ((_fn, 1, 2), ("lpc", "default", *_FN_FIELDS), ("remote",)),
+    "as_rpc": ((_fn, 1, 2), ("rpc", "default", *_FN_FIELDS),
+               ("source", "operation")),
+    "as_continuation": ((_fn, 1, 2),
+                        ("continuation", "default", *_FN_FIELDS),
+                        ("remote",)),
+    "as_counter": ((_COUNTER,),
+                   ("counter", "default", None, None, (), _COUNTER),
+                   ("remote",)),
+}
+
+
+def _fields(req):
+    return (req.event, req.kind, req.eagerness, req.promise, req.fn,
+            req.args, req.counter)
+
+
+class TestValueObjects:
+    """The request objects are plain slotted values; the payload-less ones
+    are shared constants."""
+
+    @pytest.mark.parametrize("event", sorted(FACTORIES))
+    @pytest.mark.parametrize("name", sorted(FACTORY_TABLE))
+    def test_factory_fields_and_describe(self, name, event):
+        args, fields, rejects = FACTORY_TABLE[name]
+        make = getattr(FACTORIES[event], name)
+        if event in rejects:
+            with pytest.raises(CompletionError):
+                make(*args)
+            return
+        comps = make(*args)
+        assert isinstance(comps, Completions) and len(comps) == 1
+        (req,) = comps.requests
+        assert _fields(req) == (Event(event), *fields)
+        assert req.describe() == f"{event}_cx::{name}"
+        assert comps.by_event(Event(event)) == [req]
+        assert repr(comps).startswith(
+            f"Completions(requests=(CompletionRequest(event={Event(event)!r}"
+        )
+
+    @pytest.mark.parametrize("event", sorted(FACTORIES))
+    @pytest.mark.parametrize("name", PAYLOADLESS)
+    def test_payloadless_factory_returns_one_constant(self, name, event):
+        make = getattr(FACTORIES[event], name)
+        assert make() is make()
+        others = [getattr(FACTORIES[e], n)() for e in FACTORIES
+                  for n in PAYLOADLESS if (e, n) != (event, name)]
+        assert all(make() is not o for o in others)
+
+    def test_payload_factories_build_fresh_requests(self, ctx):
+        p = Promise()
+        assert operation_cx.as_promise(p) is not operation_cx.as_promise(p)
+
+    def test_composition_keeps_request_order(self):
+        a = source_cx.as_defer_future()
+        b = operation_cx.as_future()
+        c = operation_cx.as_eager_promise(_PROMISE)
+        before = (a.requests, b.requests)
+        both = a | b | c
+        assert [id(r) for r in both.requests] == [
+            id(a.requests[0]), id(b.requests[0]), id(c.requests[0])
+        ]
+        assert (b | a).requests == (b.requests[0], a.requests[0])
+        # composing never touches the shared operands
+        assert (a.requests, b.requests) == before
+        assert len(a) == len(b) == 1
+
+    def test_or_rejects_non_completions(self):
+        with pytest.raises(TypeError):
+            _ = operation_cx.as_future() | 3
+
+    def test_shared_constants_survive_ops_on_two_worlds(self):
+        shared = [operation_cx.as_future(), operation_cx.as_defer_future(),
+                  source_cx.as_future()]
+        before = [(c.requests, [_fields(r) for r in c.requests])
+                  for c in shared]
+
+        def body():
+            buf = new_array("u64", 4)
+            futs = [rput(1, buf, shared[0]), rput(2, buf + 1, shared[0]),
+                    rget_into(buf, buf + 2, 1, shared[1]),
+                    rput(3, buf + 3, shared[2] | shared[0])]
+            # every operation gets its own future objects
+            flat = [f for x in futs for f in (x if isinstance(x, tuple)
+                                              else (x,))]
+            assert len({id(f) for f in flat}) == len(flat) == 5
+            for f in flat:
+                yield from f.wait_gen()
+            return [int(v) for v in buf.local().view(4)]
+
+        for version in (Version.V2021_3_6_EAGER, Version.V2021_3_6_DEFER):
+            res = spmd_run(body, ranks=2, version=version)
+            assert res.values == [[1, 2, 1, 3]] * 2
+        after = [(c.requests, [_fields(r) for r in c.requests])
+                 for c in shared]
+        assert after == before
+        for c, (reqs, _) in zip(shared, before):
+            assert c.requests is reqs
+
+    def test_unsupported_event_still_raises_with_shared_constant(self, ctx):
+        src = new_array("u64", 2)
+        with pytest.raises(CompletionError, match="remote completion"):
+            rget_into(src, src + 1, 1, remote_cx.as_future())
+        # the rejected constant is intact
+        (req,) = remote_cx.as_future().requests
+        assert _fields(req) == (Event.REMOTE, "future", "default",
+                                *_NO_PAYLOAD)

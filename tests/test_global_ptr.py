@@ -1,6 +1,8 @@
 """Unit tests for global pointers, locality queries, and downcasts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import new_, new_array
 from repro.errors import InvalidGlobalPointer, LocalityError
@@ -71,6 +73,39 @@ class TestArithmetic:
     def test_arithmetic_on_null_rejected(self):
         with pytest.raises(InvalidGlobalPointer):
             _ = GlobalPtr.NULL + 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rank=st.integers(0, 1 << 20),
+        offset=st.integers(0, 1 << 40),
+        name=st.sampled_from(("i64", "u64", "f64", "i32", "u32", "u8")),
+        n=st.integers(-(1 << 20), 1 << 20),
+    )
+    def test_arithmetic_equals_constructed_pointer(self, rank, offset, name,
+                                                   n):
+        p = GlobalPtr(rank, offset, name)
+        ts = type_spec(name)
+        want = GlobalPtr(rank, offset + n * ts.size, name)
+        for got in (p + n, n + p, p - (-n)):
+            assert type(got) is GlobalPtr
+            assert got == want and hash(got) == hash(want)
+            assert (got.rank, got.offset) == (want.rank, want.offset)
+            assert got.ts is want.ts is ts
+            assert got - p == n
+            with pytest.raises(AttributeError):
+                got.offset = 0
+            with pytest.raises(AttributeError):
+                got.extra = 0
+        # the operand is untouched
+        assert (p.rank, p.offset, p.ts) == (rank, offset, ts)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(-(1 << 20), 1 << 20))
+    def test_null_arithmetic_raises(self, n):
+        for op in (lambda: GlobalPtr.NULL + n, lambda: n + GlobalPtr.NULL,
+                   lambda: GlobalPtr.NULL - n):
+            with pytest.raises(InvalidGlobalPointer):
+                op()
 
 
 class TestLocality:

@@ -1,5 +1,6 @@
 """Tests for the GUPS application (HPCC RandomAccess)."""
 
+import numpy as np
 import pytest
 
 from repro.apps.gups import (
@@ -11,7 +12,7 @@ from repro.apps.gups import (
     rank_seed,
     run_gups,
 )
-from repro.runtime.config import Version
+from repro.runtime.config import Version, flags_for
 from tests.conftest import ALL_VERSIONS
 
 SMALL = dict(table_log2=9, updates_per_rank=48, batch=16)
@@ -166,6 +167,30 @@ class TestOracle:
         a = GupsConfig(variant="raw", table_log2=9, updates_per_rank=10, seed=1)
         b = GupsConfig(variant="raw", table_log2=9, updates_per_rank=10, seed=2)
         assert list(oracle_table(a, 2)) != list(oracle_table(b, 2))
+
+    @pytest.mark.parametrize("variant", GUPS_VARIANTS)
+    def test_oracle_checksum_is_oracle_table_xor(self, variant):
+        """run_gups derives the oracle checksum from the update streams;
+        it must equal the xor-reduction of the race-free table."""
+        cfg = GupsConfig(variant=variant, seed=5, **SMALL)
+        r = run_gups(cfg, ranks=4, machine="generic")
+        assert r.oracle_checksum == int(
+            np.bitwise_xor.reduce(oracle_table(cfg, 4))
+        )
+
+    def test_oracle_checksum_two_node_agg(self):
+        cfg = GupsConfig(variant="agg", seed=3, **SMALL)
+        r = run_gups(
+            cfg, ranks=4, n_nodes=2, conduit="ibv", machine="intel",
+            flags=flags_for(Version.V2021_3_6_EAGER).replace(
+                am_aggregation=True
+            ),
+        )
+        assert r.am_bundles > 0
+        assert r.oracle_checksum == int(
+            np.bitwise_xor.reduce(oracle_table(cfg, 4))
+        )
+        assert r.matches_oracle
 
 
 class TestHpccVerification:

@@ -365,7 +365,7 @@ def format_span_timeline(snapshots, *, limit: int = 40) -> str:
 def format_aggregation_report(title: str, stats) -> str:
     """Render a world-wide :class:`~repro.sim.stats.AggregationStats`
     snapshot: bundle counts, the entries-per-bundle histogram, flush
-    triggers, parking latency, and the adaptive/compression tallies."""
+    triggers, and parking latency."""
     rows = [
         ["entries appended", str(stats.appended)],
         ["bundles flushed", str(stats.bundles_flushed)],
@@ -373,11 +373,6 @@ def format_aggregation_report(title: str, stats) -> str:
         ["mean bundle size", f"{stats.mean_bundle_size:.2f}"],
         ["largest bundle", str(stats.largest_bundle)],
         ["mean parked (us)", f"{stats.mean_parked_ns / 1e3:.2f}"],
-        ["age-bound flushes", str(stats.age_flushes)],
-        ["wait-hint flushes", str(stats.wait_flushes)],
-        ["adaptive updates", str(stats.adaptive_updates)],
-        ["threshold decisions", str(stats.threshold_decisions)],
-        ["framing bytes saved", str(stats.compression_saved_bytes)],
     ]
     for size in sorted(stats.bundle_size_hist):
         rows.append(
@@ -387,25 +382,6 @@ def format_aggregation_report(title: str, stats) -> str:
         rows.append(
             [f"flushes: {reason}", str(stats.flush_reasons[reason])]
         )
-    return format_table(title, ["metric", "value"], rows)
-
-
-def format_progress_report(title: str, stats) -> str:
-    """Render a world-wide :class:`~repro.sim.stats.ProgressStats`
-    snapshot: full-poll vs. elided-poll counts, drain-cap pressure, and
-    the age-bound retirement tallies."""
-    rows = [
-        ["full polls", str(stats.full_polls)],
-        ["skipped polls", str(stats.skipped_polls)],
-        ["elision ratio", f"{stats.elision_ratio:.3f}"],
-        ["thunks dispatched", str(stats.dispatched)],
-        ["capped polls", str(stats.capped_polls)],
-        ["aged mini-drains", str(stats.aged_drains)],
-        ["aged dispatches", str(stats.aged_dispatched)],
-        ["hinted scans", str(stats.hinted_scans)],
-        ["hinted dispatches", str(stats.hinted_dispatched)],
-        ["control decisions", str(stats.decisions)],
-    ]
     return format_table(title, ["metric", "value"], rows)
 
 

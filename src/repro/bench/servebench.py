@@ -3,7 +3,7 @@
 Sweeps offered rate x mechanism configuration over
 :func:`repro.serve.run_serve` on a fixed two-node ibv topology (the
 regime where *every* studied mechanism is live: the eager/defer
-notification path, AM aggregation, adaptive progress, and wait hints)
+notification path and AM aggregation)
 and emits a machine-readable artifact
 (``BENCH_serve.json``):
 
@@ -24,8 +24,8 @@ and emits a machine-readable artifact
 
 Wall-clock cost is a few seconds in quick mode (CI) and well under a
 minute for the full sweep; quick mode keeps the workload parameters
-identical and trims only rates/configurations, so its rows are directly
-comparable against the committed artifact (the CI p99 gate).
+and configurations identical and trims only rates, so its rows are
+directly comparable against the committed artifact (the CI p99 gate).
 """
 
 from __future__ import annotations
@@ -74,29 +74,15 @@ CONDUIT = "ibv"
 MACHINE = "intel"
 
 
-def _mech(
-    *,
-    eager: bool,
-    am_aggregation: bool = False,
-    agg_adaptive: bool = False,
-    progress_adaptive: bool = False,
-    wait_hints: bool = False,
-):
+def _mech(*, eager: bool, am_aggregation: bool = False):
     """(version, flags, mechanism-description dict) for one configuration."""
     version = Version.V2021_3_6_EAGER if eager else Version.V2021_3_6_DEFER
     flags = dataclasses.replace(
-        flags_for(version),
-        am_aggregation=am_aggregation,
-        agg_adaptive=agg_adaptive,
-        progress_adaptive=progress_adaptive,
-        wait_hints=wait_hints,
+        flags_for(version), am_aggregation=am_aggregation
     )
     mech = {
         "eager_notification": eager,
         "am_aggregation": am_aggregation,
-        "agg_adaptive": agg_adaptive,
-        "progress_adaptive": progress_adaptive,
-        "wait_hints": wait_hints,
     }
     return version, flags, mech
 
@@ -106,15 +92,7 @@ CONFIGS = {
     "defer": _mech(eager=False),
     "eager": _mech(eager=True),
     "eager+agg": _mech(eager=True, am_aggregation=True),
-    "eager+agg+adaptive": _mech(
-        eager=True, am_aggregation=True, agg_adaptive=True
-    ),
-    "eager+adaptive": _mech(eager=True, progress_adaptive=True),
-    "eager+hints": _mech(
-        eager=True, progress_adaptive=True, wait_hints=True
-    ),
 }
-QUICK_CONFIGS = ("defer", "eager", "eager+agg", "eager+hints")
 
 
 def _phase_stats(res: ServeResult, phase: str, kclass: str) -> Optional[dict]:
@@ -263,10 +241,9 @@ def run_serve_bench(*, quick: bool = False, progress=None) -> dict:
             progress(msg)
 
     rates = QUICK_RATES if quick else FULL_RATES
-    names = QUICK_CONFIGS if quick else tuple(CONFIGS)
     rows = []
     for rate in rates:
-        for name in names:
+        for name in CONFIGS:
             say(f"serve: {name} @ {rate:g} rps ...")
             rows.append(serve_row(name, rate))
 
@@ -301,7 +278,7 @@ def run_serve_bench(*, quick: bool = False, progress=None) -> dict:
         },
         "sweep": {
             "rates_rps": list(rates),
-            "configs": list(names),
+            "configs": list(CONFIGS),
             "knee_factor": KNEE_FACTOR,
             "rows": rows,
         },

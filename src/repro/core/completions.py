@@ -31,7 +31,7 @@ report each event either
 
 **Notifiable completions beyond futures (``cx_continuations``).**  Two
 further completion kinds generalize the eager idea past future objects
-(MPI Continuations / UNR lineage — see DESIGN.md §13):
+(MPI Continuations / UNR lineage — see DESIGN.md §11):
 
 * *continuation completions* (``operation_cx.as_continuation(fn)``):
   the callback is attached at initiation and runs inline at whichever
@@ -41,8 +41,7 @@ further completion kinds generalize the eager idea past future objects
   path;
 * *counter completions* (:class:`CxCounter`): N operation events
   aggregate into one notification on a shared cell, one allocation
-  total, targetable by ``wait_hints`` as a unit (waiting on the counter
-  flushes every member op's destination).
+  total.
 
 Both are gated behind ``FeatureFlags.cx_continuations`` — with the flag
 off the factories raise and every existing path is untouched.
@@ -60,7 +59,6 @@ from repro.core.promise import Promise
 from repro.errors import CompletionError
 from repro.runtime.context import current_ctx
 from repro.runtime.switchpoints import BlockUntil, run_blocking
-from repro.runtime.wait_hints import WaitTarget
 from repro.sim.costmodel import CostAction
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -276,14 +274,12 @@ class CxCounter:
     One cell allocation backs all N events; each member event charges the
     cheap ``CX_COUNTER_SIGNAL`` and the Nth charges ``CX_COUNTER_TRIP``
     and fires the single notification (cell callbacks run, parked waiters
-    wake via the ordinary ``("cell", cell)`` wake key).  Off-node member
-    destinations are remembered so a hinted wait (``wait_hints``) flushes
-    *all* of them, not just one.
+    wake via the ordinary ``("cell", cell)`` wake key).
 
     Requires ``FeatureFlags.cx_continuations``.
     """
 
-    __slots__ = ("_cell", "_expected", "_signalled", "_dsts")
+    __slots__ = ("_cell", "_expected", "_signalled")
 
     def __init__(self, n: int):
         ctx = current_ctx()
@@ -298,9 +294,6 @@ class CxCounter:
         self._cell = alloc_cell(ctx, nvalues=0, deps=n)
         self._expected = n
         self._signalled = 0
-        #: off-node destination ranks of member operations (recorded by
-        #: CxDispatcher.mark_injected) — the hinted wait's flush set
-        self._dsts: set[int] = set()
 
     # -- queries ----------------------------------------------------------
 
@@ -342,9 +335,7 @@ class CxCounter:
     def wait(self) -> None:
         """Block (the simulated rank) until the counter trips.
 
-        Same spin discipline as :meth:`Future.wait`; with ``wait_hints``
-        on, the published :class:`WaitTarget` carries *every* member
-        off-node destination, so targeted flushes cover the whole batch.
+        Same spin discipline as :meth:`Future.wait`.
         """
         ctx = current_ctx()
         cell = self._cell
@@ -363,9 +354,6 @@ class CxCounter:
         yield from self._wait_spin_gen(ctx, cell)
 
     def _wait_spin_gen(self, ctx, cell):
-        if ctx.wait_hints:
-            yield from self._wait_hinted_gen(ctx, cell)
-            return
         while True:
             ctx.progress()
             ctx.charge(_FUTURE_READY_CHECK)
@@ -375,31 +363,6 @@ class CxCounter:
                 lambda: cell.ready or ctx.has_incoming(),
                 wake=("cell", cell),
             )
-
-    def _wait_hinted_gen(self, ctx, cell):
-        dsts = tuple(sorted(self._dsts))
-        obs = ctx.obs
-        if obs is not None:
-            obs.on_wait_hint(dsts[0] if dsts else None)
-        t0 = ctx.clock.now_ns
-        ctx.push_wait_target(
-            WaitTarget(cell=cell, dst_ranks=dsts, op="counter")
-        )
-        try:
-            while True:
-                ctx.progress()
-                ctx.charge(_FUTURE_READY_CHECK)
-                if cell.ready:
-                    if obs is not None:
-                        obs.on_wait_stall(ctx.clock.now_ns - t0)
-                    return
-                ctx.flush_aggregation(reason="wait_block")
-                yield BlockUntil(
-                    lambda: cell.ready or ctx.has_incoming(),
-                    wake=("cell", cell),
-                )
-        finally:
-            ctx.pop_wait_target()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -447,8 +410,8 @@ class PendingEvent:
                 )
             elif req.kind == _CONTINUATION:
                 # fires from whichever agent observed completion — here,
-                # the progress engine delivering the ack (or a wait-hinted
-                # drain): already inside progress context, dispatch inline
+                # the progress engine delivering the ack: already inside
+                # progress context, dispatch inline
                 self.ctx.charge(_CX_CONTINUATION_DISPATCH)
                 req.fn(*req.args, *values)
             elif req.kind == _COUNTER:
@@ -488,10 +451,6 @@ class CxDispatcher:
         self.value_event = value_event
         self.nvalues = nvalues
         self._futures: list[Future] = []
-        # recorded by mark_injected(): where the op's payload went, so
-        # result() can hand a hinted wait its flush destination
-        self._target_rank: Optional[int] = None
-        self._target_local = True
         ctx.charge(_COMPLETION_PROCESS)
         flags = ctx.flags
         for req in comps.requests:
@@ -533,14 +492,6 @@ class CxDispatcher:
         """Stamp the injection phase on this operation's span (no-op with
         observability off).  ``local`` is the locality the op has already
         branched on — never re-derived here."""
-        self._target_rank = target_rank
-        self._target_local = local
-        if not local:
-            # counters remember every member op's off-node destination so
-            # a hinted wait on the counter can flush them all
-            for req in self.comps.requests:
-                if req.kind == _COUNTER:
-                    req.counter._dsts.add(target_rank)
         span = self._span
         if span is not None:
             span.target = target_rank
@@ -612,7 +563,7 @@ class CxDispatcher:
                                 note, ctx.clock.now_ns
                             )
 
-                    ctx.progress_engine.enqueue_deferred(ready_it, cell=cell)
+                    ctx.progress_engine.enqueue_deferred(ready_it)
                     self._futures.append(Future(cell))
             elif req.kind == _PROMISE:
                 if self._eager_allowed(req):
@@ -632,9 +583,7 @@ class CxDispatcher:
                                 note, ctx.clock.now_ns
                             )
 
-                    ctx.progress_engine.enqueue_deferred(
-                        fulfill_it, cell=req.promise.cell
-                    )
+                    ctx.progress_engine.enqueue_deferred(fulfill_it)
             elif req.kind == _LPC:
                 if span is not None:
 
@@ -703,9 +652,6 @@ class CxDispatcher:
         if self._span is not None:
             for f in self._futures:
                 f._span = self._span  # lets wait() stamp t_waited
-        if self._target_rank is not None and not self._target_local:
-            for f in self._futures:
-                f._hint_dst = self._target_rank  # aggregator flush hint
         if len(self._futures) == 1:
             return self._futures[0]
         return tuple(self._futures)

@@ -23,7 +23,6 @@ from repro.core.cell import PromiseCell, alloc_cell, ready_cell, ready_unit_cell
 from repro.errors import FutureError
 from repro.runtime.context import current_ctx
 from repro.runtime.switchpoints import BlockUntil, run_blocking
-from repro.runtime.wait_hints import WaitTarget
 from repro.sim.costmodel import CostAction
 
 
@@ -42,17 +41,13 @@ class Future:
     of the C++ API.
     """
 
-    __slots__ = ("_cell", "_span", "_hint_dst", "_sched_charged")
+    __slots__ = ("_cell", "_span", "_sched_charged")
 
     def __init__(self, cell: PromiseCell):
         self._cell = cell
         #: operation span this future notifies (observability only; set by
         #: CxDispatcher.result() so wait() can stamp the waited phase)
         self._span = None
-        #: destination rank of the operation behind this future when it
-        #: was injected off-node (set by CxDispatcher.result(); None for
-        #: local ops) — a hinted wait passes it to the AM aggregator
-        self._hint_dst = None
         #: whether this future already paid FUTURE_CALLBACK_SCHEDULE for a
         #: ``then`` (the legacy bookkeeping is per chain head, not per call
         #: — a second ``then`` on a ready future re-enters the same state)
@@ -163,8 +158,6 @@ class Future:
     def _wait_spin_gen(self, ctx, cell):
         """The not-ready wait spin (progress / re-check / block) as a
         switch-command generator."""
-        if ctx.wait_hints:
-            return (yield from self._wait_hinted_gen(ctx, cell))
         while True:
             ctx.progress()
             ctx.charge(_FUTURE_READY_CHECK)
@@ -174,41 +167,6 @@ class Future:
                 lambda: cell.ready or ctx.has_incoming(),
                 wake=("cell", cell),
             )
-
-    def _wait_hinted_gen(self, ctx, cell):
-        """The ``wait_hints`` spin: same loop as ``wait`` but with this
-        future's cell/destination published as the active wait target, so
-        each poll's targeted drain dispatches the awaited notifications
-        ahead of the batch cap and the aggregator flushes the awaited
-        destination first (see :mod:`repro.runtime.wait_hints`)."""
-        span = self._span
-        if span is not None and span.t_hinted is None:
-            span.t_hinted = ctx.clock.now_ns
-        obs = ctx.obs
-        if obs is not None:
-            obs.on_wait_hint(self._hint_dst)
-        t0 = ctx.clock.now_ns
-        ctx.push_wait_target(
-            WaitTarget(cell=cell, dst_rank=self._hint_dst, op="future")
-        )
-        try:
-            while True:
-                ctx.progress()
-                ctx.charge(_FUTURE_READY_CHECK)
-                if cell.ready:
-                    if obs is not None:
-                        obs.on_wait_stall(ctx.clock.now_ns - t0)
-                    return self._finish_wait(ctx)
-                # about to block: publish *every* parked bundle, not just
-                # the targeted ones — a peer may be blocked on an AM the
-                # targeted flush deliberately left batching
-                ctx.flush_aggregation(reason="wait_block")
-                yield BlockUntil(
-                    lambda: cell.ready or ctx.has_incoming(),
-                    wake=("cell", cell),
-                )
-        finally:
-            ctx.pop_wait_target()
 
     def _finish_wait(self, ctx):
         """Common tail of ``wait``: stamp the waited phase and unwrap."""

@@ -1,12 +1,12 @@
 """Differential fuzzing of notification semantics.
 
 Seeded random SPMD op programs (put/get/amo/rpc mixes over local and
-off-node targets, with random wait points) are executed under eager,
-deferred, and adaptive-progress configurations; all three must agree on
-final memory state, per-op values, and completion counts, and each
-(program, flags) pair must replay bit-identically (including virtual
-clocks).  See :mod:`repro.fuzz.programs` for the program format and
-confluence argument, :mod:`repro.fuzz.runner` for execution, and
+off-node targets, with random wait points) are executed under eager
+and deferred configurations; both must agree on final memory state,
+per-op values, and completion counts, and each (program, flags) pair
+must replay bit-identically (including virtual clocks).  See
+:mod:`repro.fuzz.programs` for the program format and confluence
+argument, :mod:`repro.fuzz.runner` for execution, and
 ``python -m repro.fuzz`` for the CI entry point.
 """
 

@@ -1,9 +1,9 @@
 """CI entry point for the differential fuzzer.
 
 Runs ``--programs`` generated programs per seed through every mode
-(eager / defer / adaptive-progress), checking cross-mode agreement, and
-replays every ``--replay-every``-th program under the adaptive mode to
-assert bit-identical re-execution.  On the first failure the offending
+(eager / defer), checking cross-mode agreement, and replays every
+``--replay-every``-th program under the defer mode to assert
+bit-identical re-execution.  On the first failure the offending
 program (with the mismatch descriptions) is written to ``--artifact`` as
 JSON and the process exits non-zero — CI uploads that file so the run can
 be reproduced locally::
@@ -113,21 +113,21 @@ def main(argv=None) -> int:
             if mismatches:
                 return _fail(args, seed, index, program, mismatches)
             if args.replay_every and index % args.replay_every == 0:
-                a = run_program(program, "adaptive")
-                b = run_program(program, "adaptive")
+                a = run_program(program, "defer")
+                b = run_program(program, "defer")
                 if a != b:
                     return _fail(
                         args, seed, index, program,
-                        ["adaptive replay not bit-identical"],
+                        ["defer replay not bit-identical"],
                     )
                 if cx_modes:
                     cx = cx_modes[index % len(cx_modes)]
-                    a = run_program(program, "adaptive", cx=cx)
-                    b = run_program(program, "adaptive", cx=cx)
+                    a = run_program(program, "defer", cx=cx)
+                    b = run_program(program, "defer", cx=cx)
                     if a != b:
                         return _fail(
                             args, seed, index, program,
-                            [f"adaptive/{cx} replay not bit-identical"],
+                            [f"defer/{cx} replay not bit-identical"],
                         )
             total += 1
     dt = time.time() - t0

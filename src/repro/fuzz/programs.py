@@ -4,8 +4,8 @@ A :class:`FuzzProgram` is a phase-structured SPMD workload.  Phases are
 separated by a barrier / drain / barrier fence, and within each phase every
 cell of the shared table plays exactly one *role*, chosen so the final
 state is independent of completion-notification timing — the property the
-differential harness (:mod:`repro.fuzz.runner`) checks across eager,
-deferred, and adaptive-progress runs:
+differential harness (:mod:`repro.fuzz.runner`) checks across eager
+and deferred runs:
 
 ``frozen``
     read-only this phase: ``get`` values are fixed by earlier phases, so

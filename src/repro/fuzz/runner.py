@@ -9,13 +9,6 @@ Modes::
 
     eager     2021.3.6 eager   — notifications bypass the progress queue
     defer     2021.3.6 defer   — every completion takes the queue
-    adaptive  defer + progress_adaptive with tight knobs (small batch cap,
-              short age bound, poll thinning) so capped drains, aged
-              mini-drains, and elided polls all actually fire
-    hinted    adaptive + wait_hints — every future/promise wait publishes
-              its target, so targeted drains (mid-queue removal ahead of
-              the cap) and wait-triggered aggregation flushes fire on the
-              same programs
 
 The runs must agree on final memory, per-op recorded values, and
 completion counts.  Virtual clocks legitimately differ across modes (that
@@ -68,7 +61,7 @@ from repro.sim.costmodel import CostAction
 _MASK64 = (1 << 64) - 1
 
 #: the differential mode set (name -> (version, flags))
-MODES = ("eager", "defer", "adaptive", "hinted")
+MODES = ("eager", "defer")
 
 #: completion-kind swap variants ("future" = the unmodified baseline)
 CX_MODES = ("future", "continuation", "counter")
@@ -87,21 +80,6 @@ def mode_flags(mode: str) -> tuple[Version, FeatureFlags]:
     if mode == "defer":
         v = Version.V2021_3_6_DEFER
         return v, flags_for(v)
-    if mode == "adaptive":
-        v = Version.V2021_3_6_DEFER
-        return v, flags_for(v).replace(
-            progress_adaptive=True,
-            progress_min_batch=2,
-            progress_max_batch=8,
-            progress_max_poll_interval=16,
-            progress_max_age_ticks=2000.0,
-        )
-    if mode == "hinted":
-        # the adaptive knobs plus wait targeting: the tight batch cap
-        # means the fuzz programs' wait_all fences genuinely race the cap,
-        # so targeted mid-queue removal and wait flushes both exercise
-        v, flags = mode_flags("adaptive")
-        return v, flags.replace(wait_hints=True, wait_flush_fill_frac=0.5)
     raise ValueError(f"unknown fuzz mode {mode!r}; known: {MODES}")
 
 

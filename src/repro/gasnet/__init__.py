@@ -10,10 +10,8 @@ package provides the same structure:
   completion via progress);
 * :mod:`repro.gasnet.am` — the active-message queues;
 * :mod:`repro.gasnet.aggregator` — destination-batched coalescing of
-  small off-node AMs into bundled messages (flush policies, bundle
-  delta-compression, the completion-semantics gate);
-* :mod:`repro.gasnet.adaptive` — online flush-threshold control for the
-  aggregator (EWMA gap/size estimators, age-bound latency guarantee);
+  small off-node AMs into bundled messages (flush policies, the
+  completion-semantics gate);
 * :mod:`repro.gasnet.events` — ``gex_Event``-style handles reporting
   whether the underlying operation completed synchronously (the dynamic
   information eager notification keys off, §III-A);
@@ -22,7 +20,6 @@ package provides the same structure:
 
 from repro.gasnet.events import GexEvent
 from repro.gasnet.am import ActiveMessage
-from repro.gasnet.adaptive import AdaptiveController, ThresholdDecision
 from repro.gasnet.aggregator import AggregatorSnapshot, AmAggregator
 from repro.gasnet.conduit import Conduit, make_conduit, CONDUIT_NAMES
 from repro.gasnet.team import Team
@@ -30,8 +27,6 @@ from repro.gasnet.team import Team
 __all__ = [
     "GexEvent",
     "ActiveMessage",
-    "AdaptiveController",
-    "ThresholdDecision",
     "AggregatorSnapshot",
     "AmAggregator",
     "Conduit",

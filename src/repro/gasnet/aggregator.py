@@ -24,43 +24,20 @@ This module implements that layer for the simulated conduit:
 
 Flush policies (any of which closes a bundle):
 
-1. **entry-count threshold** — ``flags.agg_max_entries`` entries buffered
-   (with ``flags.agg_adaptive`` on, the *effective* threshold sized online
-   by :class:`~repro.gasnet.adaptive.AdaptiveController` between
-   ``agg_min_entries`` and ``agg_max_entries``);
-2. **byte threshold** — ``flags.agg_max_bytes`` payload bytes buffered
-   (adaptively sized between ``agg_min_bytes`` and ``agg_max_bytes``);
-3. **age bound** — with ``flags.agg_adaptive`` on, a buffer whose oldest
-   entry has waited more than ``flags.agg_max_age_ticks`` simulated ns is
-   flushed by the next conduit activity (any ``send_am``/``poll``) or
-   progress call, bounding a stranded entry's added latency even when the
-   rank never explicitly progresses;
-4. **explicit** — :meth:`AmAggregator.flush` / :meth:`flush_all`;
-5. **progress entry/exit** — the progress engine flushes all buffers when
+1. **entry-count threshold** — ``flags.agg_max_entries`` entries buffered;
+2. **byte threshold** — ``flags.agg_max_bytes`` payload bytes buffered;
+3. **explicit** — :meth:`AmAggregator.flush` / :meth:`flush_all`;
+4. **progress entry/exit** — the progress engine flushes all buffers when
    it is entered (so ``progress()``, ``barrier()`` and ``future.wait()``
    all publish buffered work before blocking) and again after its drain
    loop (so AMs buffered *by handlers during the drain* cannot be stranded
-   while the rank blocks);
-6. **wait target** — with ``flags.wait_hints`` on, a hinted wait narrows
-   the progress-entry/exit flush to :meth:`AmAggregator.flush_for_wait`:
-   the awaited destination ships immediately, other buffers past
-   ``wait_flush_fill_frac`` of their thresholds ride along in the same
-   conduit activity (also applied when an age flush fires — the
-   cross-destination scheduling follow-on), and the rest keep batching;
-   the wait loop flushes everything before actually blocking.
+   while the rank blocks).
 
-Bundle framing and delta-compression
-------------------------------------
+Bundle framing
+--------------
 A bundle's modeled wire footprint is its summed payloads plus framing: a
 32-byte bundle header and an 8-byte per-entry header (conduit handler id +
-length).  With ``flags.agg_compression`` on, consecutive entries sharing
-one conduit-level handler — identified by the entry *label* (``rpc_ff``,
-``put_req``, …; Python closures differ per call but ride the same wire
-handler) — form a **run**: the full 8-byte header is charged once per run
-and each continuation entry pays only a 2-byte header.  GUPS-style
-homogeneous update streams collapse to a single run per bundle, cutting
-framing ~4x.  Compression changes modeled bytes only; the receiver replays
-exactly the same handlers in the same order.
+length), computed by :func:`bundle_framing`.
 
 Correctness gate
 ----------------
@@ -72,8 +49,7 @@ would stall (or deadlock) that spin.  Operation layers express this by
 simply not marking those AMs ``aggregatable``.  Consequently aggregation
 changes *when* a request is injected but never *whether* a completion can
 be observed: deferred and eager builds reach identical final states with
-aggregation on or off (tested in ``tests/test_am_aggregation.py`` and,
-for the adaptive/compressed paths, ``tests/test_agg_adaptive.py``).
+aggregation on or off (tested in ``tests/test_am_aggregation.py``).
 
 Ordering: entries bundled to one destination are delivered in append
 order (the transport is FIFO, and a bundle replays its entries in order).
@@ -86,13 +62,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
-from repro.gasnet.adaptive import (
-    AdaptiveController,
-    ThresholdDecision,
-    fill_fraction,
-)
 from repro.obs.metrics import DEPTH_EDGES as _BUNDLE_DEPTH_EDGES
 from repro.sim.costmodel import CostAction
 
@@ -104,9 +75,6 @@ if TYPE_CHECKING:  # pragma: no cover
 BUNDLE_HEADER_BYTES = 32
 #: Modeled per-entry framing inside a bundle (handler id + length field).
 ENTRY_HEADER_BYTES = 8
-#: Modeled framing of a run-continuation entry under delta-compression
-#: (length field only — the handler id was charged by the run opener).
-RUN_CONT_HEADER_BYTES = 2
 
 
 @dataclass
@@ -116,8 +84,7 @@ class AggEntry:
     handler: Callable
     args: tuple
     nbytes: int
-    label: str
-    #: simulated-clock append time (parking-latency and age accounting)
+    #: simulated-clock append time (parking-latency accounting)
     ts_ns: float = 0.0
 
 
@@ -138,40 +105,15 @@ class DestinationBuffer:
         self.entries, self.payload_bytes = [], 0
         return entries, nbytes
 
-    @property
-    def oldest_ns(self) -> float | None:
-        """Append time of the oldest parked entry (None when empty)."""
-        return self.entries[0].ts_ns if self.entries else None
-
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def bundle_framing(
-    entries: list[AggEntry], compress: bool
-) -> tuple[int, int, int]:
-    """Modeled framing of a bundle: ``(framing_bytes, n_runs, saved)``.
-
-    Uncompressed, every entry pays a full :data:`ENTRY_HEADER_BYTES`
-    header.  Compressed, consecutive entries sharing a conduit-level
-    handler (the entry ``label``) form a run: one full header per run,
-    :data:`RUN_CONT_HEADER_BYTES` per continuation.  ``saved`` is the
-    framing reduction versus the uncompressed encoding.
-    """
-    n = len(entries)
-    flat = BUNDLE_HEADER_BYTES + ENTRY_HEADER_BYTES * n
-    if not compress:
-        return flat, n, 0
-    runs = 1 if n else 0
-    for prev, cur in zip(entries, entries[1:]):
-        if cur.label != prev.label:
-            runs += 1
-    framing = (
-        BUNDLE_HEADER_BYTES
-        + ENTRY_HEADER_BYTES * runs
-        + RUN_CONT_HEADER_BYTES * (n - runs)
-    )
-    return framing, runs, flat - framing
+def bundle_framing(n_entries: int) -> int:
+    """Modeled framing bytes of a bundle of ``n_entries`` entries: one
+    :data:`BUNDLE_HEADER_BYTES` header plus :data:`ENTRY_HEADER_BYTES` per
+    entry."""
+    return BUNDLE_HEADER_BYTES + ENTRY_HEADER_BYTES * n_entries
 
 
 @dataclass(frozen=True)
@@ -187,21 +129,11 @@ class AggregatorSnapshot:
     pending_entries: int
     #: bundle-size -> count histogram over all flushed bundles
     bundle_size_hist: dict[int, int]
-    #: flush-trigger -> count (``entries``/``bytes``/``age``/``explicit``/
+    #: flush-trigger -> count (``entries``/``bytes``/``explicit``/
     #: ``progress_entry``/``progress_exit``)
     flush_reasons: dict[str, int]
     #: summed simulated parking time (append -> flush) over flushed entries
     parked_ns_total: float
-    #: buffers force-flushed by the age bound
-    age_flushes: int
-    #: targeted flushes for an active wait (0 unless ``wait_hints``)
-    wait_flushes: int
-    #: controller observations (0 unless ``agg_adaptive``)
-    adaptive_updates: int
-    #: recorded threshold decisions, oldest first (empty unless adaptive)
-    threshold_trajectory: tuple[ThresholdDecision, ...]
-    #: framing bytes saved by delta-compression (0 unless compression)
-    compression_saved_bytes: int
 
     @property
     def mean_bundle_size(self) -> float:
@@ -223,19 +155,14 @@ class AmAggregator:
     Owned by a :class:`~repro.runtime.context.RankContext` (created by the
     world wiring only when ``flags.am_aggregation`` is set, so the default
     configuration has literally zero aggregation code on any path).
-    Thresholds come from the context's feature flags — statically, or via
-    an :class:`~repro.gasnet.adaptive.AdaptiveController` when
-    ``flags.agg_adaptive`` is on.  Flag values are validated at
+    Thresholds come from the context's feature flags, validated at
     :class:`~repro.runtime.config.FeatureFlags` construction.
     """
 
     __slots__ = (
         "_ctx", "max_entries", "max_bytes", "_buffers",
-        "controller", "max_age_ns", "compress",
-        "wait_fill_frac",
         "appended", "bundles_flushed", "entries_flushed", "largest_bundle",
         "bundle_size_hist", "flush_reasons", "parked_ns_total",
-        "age_flushes", "wait_flushes", "compression_saved_bytes",
     )
 
     def __init__(self, ctx: "RankContext"):
@@ -244,20 +171,6 @@ class AmAggregator:
         self.max_entries = flags.agg_max_entries
         self.max_bytes = flags.agg_max_bytes
         self._buffers: dict[int, DestinationBuffer] = {}
-        #: adaptive threshold control + age bound (None = static PR-1
-        #: behaviour, bit-identical to the pre-adaptive layer)
-        self.controller: Optional[AdaptiveController] = (
-            AdaptiveController(flags) if flags.agg_adaptive else None
-        )
-        self.max_age_ns: float | None = (
-            flags.agg_max_age_ticks if flags.agg_adaptive else None
-        )
-        self.compress: bool = flags.agg_compression
-        #: near-full ride-along threshold of targeted flushes, or None
-        #: when ``wait_hints`` is off (no ride-along, no targeted flush)
-        self.wait_fill_frac: float | None = (
-            flags.wait_flush_fill_frac if flags.wait_hints else None
-        )
         # -- stats ----------------------------------------------------------
         self.appended = 0
         self.bundles_flushed = 0
@@ -266,9 +179,6 @@ class AmAggregator:
         self.bundle_size_hist: Counter[int] = Counter()
         self.flush_reasons: Counter[str] = Counter()
         self.parked_ns_total = 0.0
-        self.age_flushes = 0
-        self.wait_flushes = 0
-        self.compression_saved_bytes = 0
 
     # -- queries -----------------------------------------------------------
 
@@ -281,13 +191,6 @@ class AmAggregator:
             return len(buf) if buf is not None else 0
         return sum(len(b) for b in self._buffers.values())
 
-    def thresholds_for(self, dst_rank: int) -> tuple[int, int]:
-        """Effective (entries, bytes) flush thresholds for a destination
-        (the static flag values unless the controller has sized them)."""
-        if self.controller is not None:
-            return self.controller.thresholds(dst_rank)
-        return self.max_entries, self.max_bytes
-
     # -- the append path ---------------------------------------------------
 
     def append(
@@ -296,39 +199,25 @@ class AmAggregator:
         handler: Callable,
         args: tuple,
         nbytes: int,
-        label: str,
     ) -> None:
         """Park one AM for ``dst_rank``; auto-flush on either threshold.
 
         The payload copy into the buffer is charged here (``nbytes`` of
         ``MEMCPY_PER_BYTE``), mirroring what direct injection charges, so
-        aggregation saves injection overhead — never byte costs.  With the
-        adaptive controller on, each append also feeds the destination's
-        gap/size estimators (one ``AM_AGG_ADAPT`` charge) and retires any
-        buffer that exceeded the age bound (appends count as conduit
-        activity).
+        aggregation saves injection overhead — never byte costs.
         """
         ctx = self._ctx
         ctx.charge(CostAction.AM_AGG_APPEND)
         if nbytes:
             ctx.charge_bytes(CostAction.MEMCPY_PER_BYTE, nbytes)
-        now = ctx.clock.now_ns
-        if self.controller is not None:
-            ctx.charge(CostAction.AM_AGG_ADAPT)
-            max_entries, max_bytes = self.controller.observe(
-                now, dst_rank, nbytes
-            )
-            self.flush_aged()
-        else:
-            max_entries, max_bytes = self.max_entries, self.max_bytes
         buf = self._buffers.get(dst_rank)
         if buf is None:
             buf = self._buffers[dst_rank] = DestinationBuffer(dst_rank)
-        buf.append(AggEntry(handler, args, nbytes, label, ts_ns=now))
+        buf.append(AggEntry(handler, args, nbytes, ts_ns=ctx.clock.now_ns))
         self.appended += 1
-        if len(buf) >= max_entries:
+        if len(buf) >= self.max_entries:
             self.flush(dst_rank, reason="entries")
-        elif buf.payload_bytes >= max_bytes:
+        elif buf.payload_bytes >= self.max_bytes:
             self.flush(dst_rank, reason="bytes")
 
     # -- flush policies ----------------------------------------------------
@@ -350,14 +239,7 @@ class AmAggregator:
             obs.metrics.histogram(
                 "agg.bundle_entries", _BUNDLE_DEPTH_EDGES
             ).record(len(entries))
-        if self.compress:
-            # run detection + continuation-header emission, per entry
-            ctx.charge(CostAction.AM_BUNDLE_COMPRESS, len(entries))
-        framing, _runs, saved = bundle_framing(entries, self.compress)
-        self.compression_saved_bytes += saved
-        ctx.conduit.send_bundle(
-            ctx, dst_rank, entries, payload, framing_bytes=framing
-        )
+        ctx.conduit.send_bundle(ctx, dst_rank, entries, payload)
         self.bundles_flushed += 1
         self.entries_flushed += len(entries)
         self.bundle_size_hist[len(entries)] += 1
@@ -374,91 +256,13 @@ class AmAggregator:
         return shipped
 
     def flush_aged(self) -> int:
-        """Flush buffers whose oldest entry exceeded the age bound.
-
-        Called from every conduit activity of the owning rank (AM sends,
-        polls) and on progress entry, so with ``agg_adaptive`` on a parked
-        entry's added latency is bounded by ``agg_max_age_ticks`` plus the
-        gap to the rank's next conduit/progress action — even if the rank
-        never calls ``progress()`` explicitly.  No-op (0) when the age
-        bound is off.
-        """
-        max_age = self.max_age_ns
-        if max_age is None or not self._buffers:
-            return 0
-        now = self._ctx.clock.now_ns
-        shipped = 0
-        for dst in sorted(self._buffers):
-            buf = self._buffers[dst]
-            oldest = buf.oldest_ns
-            if oldest is not None and now - oldest >= max_age:
-                self.age_flushes += 1
-                shipped += self.flush(dst, reason="age")
-        if shipped and self.wait_fill_frac is not None:
-            # cross-destination scheduling (wait_hints): the age flush
-            # already woke the conduit — ship other near-full buffers in
-            # the same activity to share the injection wake-up
-            shipped += self._flush_near_full()
-        return shipped
-
-    def flush_for_wait(self, dst_rank: int | None) -> int:
-        """Targeted flush while a hinted wait is active (``wait_hints``).
-
-        Ships, in one conduit activity: the awaited destination's buffer
-        (the bundle the caller is blocked on must not sit out its age
-        bound), every other buffer past the ``wait_flush_fill_frac``
-        ride-along threshold, and any buffer past its age bound.  Sparse
-        buffers keep batching — the narrowing relative to the unhinted
-        flush-all is the point; liveness is preserved because the wait
-        loop flushes everything before actually blocking.
-        """
-        self.wait_flushes += 1
-        shipped = 0
-        if dst_rank is not None:
-            buf = self._buffers.get(dst_rank)
-            if buf:
-                shipped += self.flush(dst_rank, reason="wait_hint")
-        shipped += self._flush_near_full()
-        max_age = self.max_age_ns
-        if max_age is not None:
-            now = self._ctx.clock.now_ns
-            for dst in sorted(self._buffers):
-                oldest = self._buffers[dst].oldest_ns
-                if oldest is not None and now - oldest >= max_age:
-                    self.age_flushes += 1
-                    shipped += self.flush(dst, reason="age")
-        return shipped
-
-    def _flush_near_full(self) -> int:
-        """Ship buffers whose fill reached ``wait_flush_fill_frac`` of
-        their effective thresholds (rank order, deterministic)."""
-        frac = self.wait_fill_frac
-        if frac is None:
-            return 0
-        shipped = 0
-        for dst in sorted(self._buffers):
-            buf = self._buffers[dst]
-            if not buf:
-                continue
-            max_entries, max_bytes = self.thresholds_for(dst)
-            if (
-                fill_fraction(
-                    len(buf), buf.payload_bytes, max_entries, max_bytes
-                )
-                >= frac
-            ):
-                shipped += self.flush(dst, reason="near_full")
-        return shipped
+        """Always 0: kept only because perfbench's ENTRY_POINTS names it."""
+        return 0
 
     # -- observability -----------------------------------------------------
 
     def stats(self) -> AggregatorSnapshot:
         """An immutable snapshot of this rank's aggregation activity."""
-        traj = (
-            tuple(self.controller.trajectory)
-            if self.controller is not None
-            else ()
-        )
         return AggregatorSnapshot(
             rank=self._ctx.rank,
             appended=self.appended,
@@ -469,13 +273,6 @@ class AmAggregator:
             bundle_size_hist=dict(self.bundle_size_hist),
             flush_reasons=dict(self.flush_reasons),
             parked_ns_total=self.parked_ns_total,
-            age_flushes=self.age_flushes,
-            wait_flushes=self.wait_flushes,
-            adaptive_updates=(
-                self.controller.updates if self.controller is not None else 0
-            ),
-            threshold_trajectory=traj,
-            compression_saved_bytes=self.compression_saved_bytes,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.errors import UpcxxError
 from repro.gasnet.am import ActiveMessage, AmInbox
-from repro.gasnet.aggregator import BUNDLE_HEADER_BYTES, ENTRY_HEADER_BYTES
+from repro.gasnet.aggregator import bundle_framing
 from repro.obs.metrics import DEPTH_EDGES
 from repro.sim.costmodel import CostAction
 
@@ -146,23 +146,15 @@ class Conduit:
         notification would stall that spin (the aggregation correctness
         gate).  Eligible off-node AMs are parked in the sender's
         aggregator instead of being injected, when aggregation is on.
-
-        Every send is conduit activity for the sender: with the adaptive
-        age bound on, buffers whose oldest entry outlived
-        ``flags.agg_max_age_ticks`` are retired here before the new
-        message is handled, so a stream of *any* AM traffic keeps every
-        destination's parked entries inside the latency bound.
         """
         if not (0 <= dst_rank < self.world.size):
             raise UpcxxError(f"AM to invalid rank {dst_rank}")
-        agg = src_ctx.am_agg
-        if agg is not None:
-            agg.flush_aged()
         if aggregatable:
+            agg = src_ctx.am_agg
             if agg is not None and not self._same_node(
                 src_ctx.rank, dst_rank
             ):
-                agg.append(dst_rank, handler, args, nbytes, label)
+                agg.append(dst_rank, handler, args, nbytes)
                 return
         src_ctx.charge(CostAction.AM_INJECT)
         if nbytes:
@@ -192,7 +184,6 @@ class Conduit:
         dst_rank: int,
         entries: list["AggEntry"],
         payload_bytes: int,
-        framing_bytes: int | None = None,
     ) -> None:
         """Ship a flushed destination buffer as one bundled AM.
 
@@ -202,21 +193,12 @@ class Conduit:
         network in one latency hop sized by the full wire footprint.  The
         receiver pays one ``AM_EXECUTE`` for the bundle (charged by
         :meth:`poll`) plus ``AM_BUNDLE_ENTRY_DISPATCH`` per entry.
-
-        ``framing_bytes`` is the modeled header/framing footprint computed
-        by the flushing aggregator (delta-compressed when
-        ``flags.agg_compression`` is on); when omitted, the flat
-        uncompressed encoding is assumed.
         """
         if not entries:
             return
         src_ctx.charge(CostAction.AM_BUNDLE_HEADER)
         src_ctx.charge(CostAction.AM_INJECT)
-        framing = (
-            framing_bytes
-            if framing_bytes is not None
-            else BUNDLE_HEADER_BYTES + ENTRY_HEADER_BYTES * len(entries)
-        )
+        framing = bundle_framing(len(entries))
         src_ctx.charge_bytes(CostAction.MEMCPY_PER_BYTE, framing)
         obs = src_ctx.obs
         if obs is not None:
@@ -249,14 +231,7 @@ class Conduit:
         """Deliver every queued AM for ``ctx`` (called from its progress
         engine).  The receiver's clock advances to at least each message's
         arrival time before the handler runs.
-
-        Polling is conduit activity: aged destination buffers are retired
-        first (no-op unless the adaptive age bound is on), so a rank that
-        only ever polls still honours the parked-entry latency bound.
         """
-        agg = ctx.am_agg
-        if agg is not None:
-            agg.flush_aged()
         inbox = self._inboxes[ctx.rank]
         if not inbox:
             return False

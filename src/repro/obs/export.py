@@ -91,7 +91,6 @@ def trace_events(
                     "t_transfer_ns": span.t_transfer,
                     "t_dispatched_ns": span.t_dispatched,
                     "t_waited_ns": span.t_waited,
-                    "t_hinted_ns": span.t_hinted,
                 },
             })
             if phase_instants:

@@ -21,11 +21,7 @@ CxDispatcher` was constructed);
     transfers;
 ``t_waited``
     a ``Future.wait()`` observed the operation complete (absent when the
-    result is consumed through callbacks only);
-``t_hinted``
-    a hinted wait (``FeatureFlags.wait_hints``) published this operation
-    as its wait target (absent unless the flag is on and the future was
-    actually blocked on).
+    result is consumed through callbacks only).
 
 Spans carry op kind, peer rank, payload size, locality (``pshm`` vs
 ``offnode``) and completion mode (``eager`` vs ``defer``), so the world
@@ -73,7 +69,6 @@ class OpSpan:
     t_transfer: Optional[float] = None
     t_dispatched: Optional[float] = None
     t_waited: Optional[float] = None
-    t_hinted: Optional[float] = None
 
     @property
     def notification_gap_ns(self) -> Optional[float]:
@@ -87,7 +82,7 @@ class OpSpan:
         """Latest stamped phase (spans render as [t_init, end_ns])."""
         end = self.t_init
         for t in (self.t_injected, self.t_transfer, self.t_dispatched,
-                  self.t_waited, self.t_hinted):
+                  self.t_waited):
             if t is not None and t > end:
                 end = t
         return end
@@ -201,7 +196,7 @@ class ObsStats:
     #: keyed by (mode, locality)
     gaps: dict[tuple[str, str], GapStats]
     #: gap distributions restricted to spans some caller blocked on
-    #: (``t_waited`` stamped) — the population wait hints exist to serve
+    #: (``t_waited`` stamped)
     waited_gaps: dict[tuple[str, str], GapStats]
     metrics: MetricsSnapshot
     #: request-lifecycle accounting (zeros outside a served run)
@@ -364,21 +359,6 @@ class ObsState:
         self.metrics.histogram(
             "progress.drain_batch", DEPTH_EDGES
         ).record(batch)
-
-    # -- wait-hint signals ----------------------------------------------
-
-    def on_wait_hint(self, dst_rank: Optional[int]) -> None:
-        """One hinted wait entered its spin (``wait_hints`` on and the
-        future was not already ready)."""
-        self.metrics.counter("wait.hints").inc()
-        if dst_rank is not None:
-            self.metrics.counter("wait.hints_offnode").inc()
-
-    def on_wait_stall(self, stall_ns: float) -> None:
-        """Virtual time one hinted wait spent blocked (entry to ready)."""
-        self.metrics.histogram(
-            "wait.stall_ns", LATENCY_EDGES_NS
-        ).record(stall_ns)
 
     # -- snapshotting --------------------------------------------------
 

@@ -76,80 +76,7 @@ class FeatureFlags:
     agg_max_entries / agg_max_bytes:
         Aggregator auto-flush thresholds: a destination buffer flushes
         when it holds this many entries or payload bytes (only consulted
-        when ``am_aggregation`` is on).  With ``agg_adaptive`` set these
-        become the *ceilings* of the controller's operating range.
-    agg_adaptive:
-        Online flush-threshold control plus the age-bound flush (see
-        :mod:`repro.gasnet.adaptive`): per-destination EWMA estimators of
-        inter-arrival gap and payload size size the effective thresholds
-        between the floor (``agg_min_*``) and ceiling (``agg_max_*``)
-        bounds, and a buffer whose oldest entry is older than
-        ``agg_max_age_ticks`` is flushed at the next conduit activity or
-        progress poll.  Off by default: the static PR-1 behaviour is
-        bit-identical with this flag off.
-    agg_min_entries / agg_min_bytes:
-        Floors of the adaptive controller's threshold range (only
-        consulted when ``agg_adaptive`` is on).
-    agg_max_age_ticks:
-        Age bound in simulated-clock ticks (ns): the maximum time the
-        oldest parked entry may sit in a buffer before the next conduit
-        activity or progress poll force-flushes it.  Also the controller's
-        latency target (batch depth is chosen so the expected fill time
-        stays inside this bound).
-    agg_ewma_alpha:
-        Blending factor of the controller's EWMA estimators (0 < a <= 1;
-        larger adapts faster, smaller smooths more).
-    agg_compression:
-        Delta-compression of bundle framing: runs of consecutive entries
-        sharing one conduit-level handler (the entry *label*) are encoded
-        as one full entry header plus small continuation headers, so
-        homogeneous streams (GUPS updates) pay the handler id once per
-        run.  Pure wire-footprint model change — handlers still run
-        identically.  Off by default.
-    progress_adaptive:
-        EWMA-based control of the progress engine's drain loop (see
-        :mod:`repro.runtime.adaptive_progress`): each full poll observes
-        the deferred-queue depth and drain yield, sizes a per-poll drain
-        batch cap, and thins the cadence of provably-empty polls (charging
-        the cheap ``PROGRESS_POLL_SKIP`` instead of a full
-        ``PROGRESS_POLL``).  Off by default on every build: with the flag
-        off the engine is bit-identical to the static drain-until-quiescent
-        behaviour.
-    progress_min_batch / progress_max_batch:
-        Floor and ceiling of the controller's per-poll drain batch cap
-        (only consulted when ``progress_adaptive`` is on).
-    progress_min_poll_interval / progress_max_poll_interval:
-        Floor and ceiling of the poll-thinning interval: at most
-        ``interval - 1`` consecutive provably-empty progress calls are
-        elided before a full poll is forced.  An interval of 1 never
-        elides.
-    progress_max_age_ticks:
-        Notification-latency guarantee in simulated-clock ticks (ns),
-        analogous to ``agg_max_age_ticks``: no deferred completion waits
-        longer than this once enqueued — aged entries are dispatched past
-        the batch cap and opportunistically retired at the next engine
-        activity.
-    progress_ewma_alpha:
-        Blending factor of the progress controller's EWMA estimators
-        (0 < a <= 1).
-    wait_hints:
-        Wait-aware completion targeting (see
-        :mod:`repro.runtime.wait_hints`): a blocking wait publishes the
-        awaited cell/destination on the context, the progress engine
-        dispatches matching queued notifications ahead of the adaptive
-        batch cap (charging ``PROGRESS_HINT_SCAN`` per targeted scan),
-        and the AM aggregator immediately flushes the awaited
-        destination's buffer plus near-full ride-alongs instead of
-        waiting for the age bound.  Off by default on every build: with
-        the flag off no target is ever published and the runtime is
-        bit-identical to the unhinted behaviour.
-    wait_flush_fill_frac:
-        Near-full ride-along threshold of the targeted flush (0 < f <=
-        1): while a hinted wait is active, a destination buffer whose
-        entry or byte fill reaches this fraction of its effective flush
-        threshold is flushed in the same conduit activity as the awaited
-        destination, sharing the injection wake-up (only consulted when
-        ``wait_hints`` is on).
+        when ``am_aggregation`` is on).
     obs_spans:
         Operation-lifecycle observability (see :mod:`repro.obs`): every
         asynchronous operation records a span with phase timestamps
@@ -171,7 +98,7 @@ class FeatureFlags:
         bit that the completion site sets, instead of having its predicate
         re-evaluated by every switch's round-robin scan.  Promotion sets,
         picks, virtual clocks, and switch traces are bit-identical to the
-        scan (the order-preservation argument is in DESIGN.md §11); any
+        scan (the order-preservation argument is in DESIGN.md §9); any
         keyless block falls back to the scan until it wakes.  On by
         default on every build; turning it off restores the pure
         predicate-scan scheduler — the differential oracle the wake-list
@@ -193,16 +120,15 @@ class FeatureFlags:
         raises).
     cx_continuations:
         Notifiable completion objects beyond futures/promises (see
-        :mod:`repro.core.completions` and DESIGN.md §13): continuation
+        :mod:`repro.core.completions` and DESIGN.md §11): continuation
         completions (``operation_cx.as_continuation(fn)`` — the callback
         runs inline at whichever agent observes completion, with zero
         future/cell allocation) and counter completions
         (:class:`~repro.core.completions.CxCounter` — N operation events
-        aggregate into one notification, targetable by ``wait_hints`` as
-        a unit).  Off by default on every build: with the flag off the
-        factories raise ``CompletionError`` and no code path changes, so
-        the runtime is bit-identical to the future/promise-only
-        behaviour.
+        aggregate into one notification).  Off by default on every
+        build: with the flag off the factories raise ``CompletionError``
+        and no code path changes, so the runtime is bit-identical to the
+        future/promise-only behaviour.
     """
 
     eager_notification: bool
@@ -215,23 +141,8 @@ class FeatureFlags:
     am_aggregation: bool = False
     agg_max_entries: int = 32
     agg_max_bytes: int = 4096
-    agg_adaptive: bool = False
-    agg_min_entries: int = 2
-    agg_min_bytes: int = 256
-    agg_max_age_ticks: float = 131072.0
-    agg_ewma_alpha: float = 0.25
-    agg_compression: bool = False
     obs_spans: bool = False
     obs_span_capacity: int = 65536
-    progress_adaptive: bool = False
-    progress_min_batch: int = 4
-    progress_max_batch: int = 256
-    progress_min_poll_interval: int = 1
-    progress_max_poll_interval: int = 64
-    progress_max_age_ticks: float = 32768.0
-    progress_ewma_alpha: float = 0.25
-    wait_hints: bool = False
-    wait_flush_fill_frac: float = 0.5
     sched_wake_list: bool = True
     cost_batching: bool = True
     cx_continuations: bool = False
@@ -254,88 +165,9 @@ class FeatureFlags:
             raise UpcxxError(
                 f"agg_max_bytes must be >= 1, got {self.agg_max_bytes}"
             )
-        if self.agg_min_entries < 1:
-            raise UpcxxError(
-                f"agg_min_entries must be >= 1, got {self.agg_min_entries}"
-            )
-        if self.agg_min_bytes < 1:
-            raise UpcxxError(
-                f"agg_min_bytes must be >= 1, got {self.agg_min_bytes}"
-            )
-        if self.agg_adaptive:
-            # floor/ceiling consistency only binds once the controller
-            # actually operates on the range (a static configuration may
-            # legitimately set a ceiling below the adaptive floor defaults);
-            # re-validated automatically if replace() later flips the flag
-            if self.agg_min_entries > self.agg_max_entries:
-                raise UpcxxError(
-                    "agg_min_entries must not exceed agg_max_entries "
-                    f"({self.agg_min_entries} > {self.agg_max_entries})"
-                )
-            if self.agg_min_bytes > self.agg_max_bytes:
-                raise UpcxxError(
-                    "agg_min_bytes must not exceed agg_max_bytes "
-                    f"({self.agg_min_bytes} > {self.agg_max_bytes})"
-                )
-        if self.agg_max_age_ticks <= 0:
-            raise UpcxxError(
-                f"agg_max_age_ticks must be > 0, got {self.agg_max_age_ticks}"
-            )
-        if not (0.0 < self.agg_ewma_alpha <= 1.0):
-            raise UpcxxError(
-                f"agg_ewma_alpha must be in (0, 1], got {self.agg_ewma_alpha}"
-            )
         if self.obs_span_capacity < 1:
             raise UpcxxError(
                 f"obs_span_capacity must be >= 1, got {self.obs_span_capacity}"
-            )
-        if self.progress_min_batch < 1:
-            raise UpcxxError(
-                f"progress_min_batch must be >= 1, got {self.progress_min_batch}"
-            )
-        if self.progress_max_batch < 1:
-            raise UpcxxError(
-                f"progress_max_batch must be >= 1, got {self.progress_max_batch}"
-            )
-        if self.progress_min_poll_interval < 1:
-            raise UpcxxError(
-                "progress_min_poll_interval must be >= 1, got "
-                f"{self.progress_min_poll_interval}"
-            )
-        if self.progress_max_poll_interval < 1:
-            raise UpcxxError(
-                "progress_max_poll_interval must be >= 1, got "
-                f"{self.progress_max_poll_interval}"
-            )
-        if self.progress_adaptive:
-            # same floor/ceiling convention as the aggregation knobs: the
-            # range only binds when a controller actually operates on it
-            if self.progress_min_batch > self.progress_max_batch:
-                raise UpcxxError(
-                    "progress_min_batch must not exceed progress_max_batch "
-                    f"({self.progress_min_batch} > {self.progress_max_batch})"
-                )
-            if self.progress_min_poll_interval > self.progress_max_poll_interval:
-                raise UpcxxError(
-                    "progress_min_poll_interval must not exceed "
-                    "progress_max_poll_interval "
-                    f"({self.progress_min_poll_interval} > "
-                    f"{self.progress_max_poll_interval})"
-                )
-        if self.progress_max_age_ticks <= 0:
-            raise UpcxxError(
-                "progress_max_age_ticks must be > 0, got "
-                f"{self.progress_max_age_ticks}"
-            )
-        if not (0.0 < self.progress_ewma_alpha <= 1.0):
-            raise UpcxxError(
-                "progress_ewma_alpha must be in (0, 1], got "
-                f"{self.progress_ewma_alpha}"
-            )
-        if not (0.0 < self.wait_flush_fill_frac <= 1.0):
-            raise UpcxxError(
-                "wait_flush_fill_frac must be in (0, 1], got "
-                f"{self.wait_flush_fill_frac}"
             )
 
     def replace(self, **kw) -> "FeatureFlags":

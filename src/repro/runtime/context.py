@@ -31,10 +31,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.memory.allocator import SharedAllocator
     from repro.memory.segment import Segment
     from repro.obs import ObsState
-    from repro.runtime.adaptive_progress import AdaptiveProgressController
     from repro.runtime.runtime import World
     from repro.runtime.scheduler import SchedulerCore
-    from repro.runtime.wait_hints import WaitTarget
 
 
 class RankContext:
@@ -94,19 +92,9 @@ class RankContext:
         #: per-rank observability state; wired by the runtime only when
         #: ``flags.obs_spans`` is set (None → zero overhead)
         self.obs: Optional["ObsState"] = None
-        #: adaptive progress controller; wired by the runtime only when
-        #: ``flags.progress_adaptive`` is set (None → the static drain loop)
-        self.progress_ctl: Optional["AdaptiveProgressController"] = None
         #: the driving EventLoopScheduler (yield_now/block_until), wired
         #: by World.attach_scheduler
         self.scheduler: Optional["SchedulerCore"] = None
-        #: precomputed gate for the wait-target machinery: with the flag
-        #: off no target is ever pushed, so ``active_wait_target`` stays
-        #: None and every consumer's behaviour is bit-identical
-        self.wait_hints: bool = self.flags.wait_hints
-        #: LIFO of published wait targets (waits nest: a callback run
-        #: inside one wait's progress may itself wait)
-        self._wait_targets: list["WaitTarget"] = []
         self._barrier_epoch = 0
 
     # -- identity -----------------------------------------------------------
@@ -178,26 +166,6 @@ class RankContext:
         """Generator form of :meth:`barrier` for continuation rank bodies
         (``yield from ctx.barrier_gen()``)."""
         return self.world.barrier_gen(self)
-
-    # -- wait targets -------------------------------------------------------
-
-    def push_wait_target(self, target: "WaitTarget") -> None:
-        """Publish what the current (innermost) blocking wait needs.
-
-        Only called on the ``wait_hints`` paths — with the flag off the
-        stack stays empty and :attr:`active_wait_target` is ``None``.
-        """
-        self._wait_targets.append(target)
-
-    def pop_wait_target(self) -> None:
-        self._wait_targets.pop()
-
-    @property
-    def active_wait_target(self) -> Optional["WaitTarget"]:
-        """The innermost published wait target (None when nobody is in a
-        hinted wait — the common case, one list check)."""
-        targets = self._wait_targets
-        return targets[-1] if targets else None
 
     # -- locality ----------------------------------------------------------------
 

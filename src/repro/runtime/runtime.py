@@ -36,7 +36,6 @@ from repro.gasnet.team import Team
 from repro.memory.allocator import SharedAllocator
 from repro.memory.segment import Segment
 from repro.obs import ObsState
-from repro.runtime.adaptive_progress import AdaptiveProgressController
 from repro.runtime.config import RuntimeConfig, Version
 from repro.runtime.context import RankContext
 from repro.runtime.event_loop import EventLoopScheduler
@@ -87,8 +86,6 @@ class World:
                 ctx.am_agg = AmAggregator(ctx)
             if ctx.flags.obs_spans:
                 ctx.obs = ObsState(ctx)
-            if ctx.flags.progress_adaptive:
-                ctx.progress_ctl = AdaptiveProgressController(ctx.flags)
             ctx.progress_engine.register_poller(
                 lambda c=ctx: self.conduit.poll(c)
             )
@@ -244,29 +241,6 @@ class World:
                 obs.close_notification(span, ctx.clock.now_ns)
                 span.t_waited = ctx.clock.now_ns
             return
-        if ctx.wait_hints:
-            # a barrier is blocked on *everything*, so its target carries
-            # neither cell nor destination: the engine's drain-everything /
-            # flush-all behaviour already is the targeted behaviour, and
-            # publishing the (non-targeting) target keeps the hint
-            # lifecycle uniform across every blocking construct
-            from repro.runtime.wait_hints import WaitTarget
-
-            if span is not None and span.t_hinted is None:
-                span.t_hinted = ctx.clock.now_ns
-            ctx.push_wait_target(WaitTarget(op="barrier"))
-            try:
-                yield from self._barrier_spin_gen(ctx, epoch)
-            finally:
-                ctx.pop_wait_target()
-        else:
-            yield from self._barrier_spin_gen(ctx, epoch)
-        ctx.clock.advance_to(self._barrier_release_ns)
-        if span is not None:
-            obs.close_notification(span, ctx.clock.now_ns)
-            span.t_waited = ctx.clock.now_ns
-
-    def _barrier_spin_gen(self, ctx: RankContext, epoch: int):
         while self._barrier_epoch == epoch:
             ctx.progress()
             if self._barrier_epoch != epoch:
@@ -275,6 +249,10 @@ class World:
                 lambda: self._barrier_epoch != epoch or ctx.has_incoming(),
                 wake=("epoch",),
             )
+        ctx.clock.advance_to(self._barrier_release_ns)
+        if span is not None:
+            obs.close_notification(span, ctx.clock.now_ns)
+            span.t_waited = ctx.clock.now_ns
 
     # -- measurement helpers ------------------------------------------------------
 

@@ -27,7 +27,7 @@ completion sites (cell fulfillment, conduit inbox pushes, barrier epoch
 advance) set a per-rank wake bit, and :meth:`SchedulerCore._pick_next`
 promotes exactly the ranks whose bits are set — no predicate is evaluated.
 The promotion set and the ring-order pick are provably identical to the
-scan's (DESIGN.md §11 has the argument); any rank that blocks *without* a
+scan's (DESIGN.md §9 has the argument); any rank that blocks *without* a
 key drops the whole scheduler back to the predicate scan until it wakes,
 so exotic ``BlockUntil`` uses keep their exact legacy semantics and the
 scan stays available as the differential oracle
@@ -253,7 +253,7 @@ class SchedulerCore:
         no predicate runs, O(set bits) instead of O(n).  The result is
         identical to the scan's: a keyed rank's wake bit is set iff its
         predicate is true (the events are monotone while the rank is
-        parked and every mutation site notifies — DESIGN.md §11), and both
+        parked and every mutation site notifies — DESIGN.md §9), and both
         paths pick the minimum ring distance over ready ∪ promoted.
         Any unkeyed blocked rank forces the legacy scan, which evaluates
         predicates in exactly the ascending ring-distance order of the

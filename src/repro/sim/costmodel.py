@@ -59,18 +59,6 @@ class CostAction(enum.Enum):
     PROGRESS_QUEUE_ENQUEUE = "progress_queue_enqueue"
     PROGRESS_DISPATCH = "progress_dispatch"
     PROGRESS_POLL = "progress_poll"
-    #: one observation of the adaptive progress controller: EWMA updates of
-    #: the deferred-queue depth / drain yield plus the cap recompute (paid
-    #: per full poll when ``progress_adaptive`` is on)
-    PROGRESS_ADAPT = "progress_adapt"
-    #: an elided empty poll: the adaptive engine proved no work was possible
-    #: and charged this instead of a full ``PROGRESS_POLL`` (the cadence
-    #: saving the controller exists to buy)
-    PROGRESS_POLL_SKIP = "progress_poll_skip"
-    #: one targeted scan of the deferred/LPC queues for thunks resolving
-    #: the cell an active wait is blocked on (paid per poll while a
-    #: ``wait_hints`` target with a cell is published)
-    PROGRESS_HINT_SCAN = "progress_hint_scan"
 
     # -- future / promise machinery --------------------------------------
     FUTURE_READY_CHECK = "future_ready_check"
@@ -131,14 +119,6 @@ class CostAction(enum.Enum):
     #: receiver-side dispatch of one entry out of a delivered bundle
     #: (cheaper than a full ``AM_EXECUTE``: no per-message poll/queue work)
     AM_BUNDLE_ENTRY_DISPATCH = "am_bundle_entry_dispatch"
-    #: one observation of the adaptive batching controller: EWMA updates
-    #: of the destination's inter-arrival gap / payload size plus the
-    #: threshold recompute (paid per append when ``agg_adaptive`` is on)
-    AM_AGG_ADAPT = "am_agg_adapt"
-    #: delta-encoding one bundle entry at flush time (run detection and
-    #: continuation-header emission; paid per entry when
-    #: ``agg_compression`` is on)
-    AM_BUNDLE_COMPRESS = "am_bundle_compress"
 
     # -- misc ----------------------------------------------------------------
     LPC_ENQUEUE = "lpc_enqueue"

@@ -129,9 +129,6 @@ INTEL = MachineProfile(
         progress_queue_enqueue=7.0,
         progress_poll=6.0,
         progress_dispatch=14.0,
-        progress_adapt=2.0,
-        progress_poll_skip=1.0,
-        progress_hint_scan=3.0,
         future_ready_check=1.0,
         future_callback_schedule=4.0,
         when_all_node_build=150.0,
@@ -148,8 +145,6 @@ INTEL = MachineProfile(
         am_agg_append=9.0,
         am_bundle_header=40.0,
         am_bundle_entry_dispatch=8.0,
-        am_agg_adapt=2.0,
-        am_bundle_compress=1.5,
         rpc_serialize_per_byte=0.3,
         lpc_enqueue=5.0,
         barrier=600.0,
@@ -185,9 +180,6 @@ IBM = MachineProfile(
         progress_queue_enqueue=1.5,
         progress_poll=1.5,
         progress_dispatch=2.0,
-        progress_adapt=2.8,
-        progress_poll_skip=0.4,
-        progress_hint_scan=4.0,
         future_ready_check=1.4,
         future_callback_schedule=5.0,
         when_all_node_build=3800.0,
@@ -204,8 +196,6 @@ IBM = MachineProfile(
         am_agg_append=13.0,
         am_bundle_header=55.0,
         am_bundle_entry_dispatch=11.0,
-        am_agg_adapt=2.8,
-        am_bundle_compress=2.1,
         rpc_serialize_per_byte=0.45,
         lpc_enqueue=7.0,
         barrier=900.0,
@@ -241,9 +231,6 @@ MARVELL = MachineProfile(
         progress_queue_enqueue=18.0,
         progress_poll=20.0,
         progress_dispatch=30.0,
-        progress_adapt=3.6,
-        progress_poll_skip=2.5,
-        progress_hint_scan=5.5,
         future_ready_check=1.8,
         future_callback_schedule=7.0,
         when_all_node_build=200.0,
@@ -260,8 +247,6 @@ MARVELL = MachineProfile(
         am_agg_append=16.0,
         am_bundle_header=70.0,
         am_bundle_entry_dispatch=14.0,
-        am_agg_adapt=3.6,
-        am_bundle_compress=2.7,
         rpc_serialize_per_byte=0.55,
         lpc_enqueue=9.0,
         barrier=1100.0,
@@ -294,9 +279,6 @@ GENERIC = MachineProfile(
         progress_queue_enqueue=5.0,
         progress_poll=5.0,
         progress_dispatch=10.0,
-        progress_adapt=2.0,
-        progress_poll_skip=1.0,
-        progress_hint_scan=3.0,
         future_ready_check=1.0,
         future_callback_schedule=5.0,
         when_all_node_build=25.0,
@@ -313,8 +295,6 @@ GENERIC = MachineProfile(
         am_agg_append=10.0,
         am_bundle_header=45.0,
         am_bundle_entry_dispatch=9.0,
-        am_agg_adapt=2.0,
-        am_bundle_compress=1.5,
         rpc_serialize_per_byte=0.5,
         lpc_enqueue=5.0,
         barrier=500.0,

@@ -207,8 +207,9 @@ def serve_snapshots(world: "World"):
     (empty when the world never ran the serving driver).
 
     The serving driver parks its measurement state on the rank context
-    as ``ctx.serve_obs`` — same convention as the aggregation/progress
-    subsystems, gathered through the one shared rollup walk."""
+    as ``ctx.serve_obs`` — same convention as the aggregation and
+    observability subsystems, gathered through the one shared rollup
+    walk."""
     return gather_rank_snapshots(
         world,
         lambda ctx: (
@@ -234,9 +235,8 @@ def serve_stats(world: "World"):
 class AggregationStats:
     """World-wide AM-aggregation counters (summed over ranks).
 
-    The adaptive/compression fields stay zero (and ``bundle_size_hist`` /
-    ``flush_reasons`` empty) unless the corresponding feature flags were
-    on — aggregating them is free either way.
+    All zeros (and ``bundle_size_hist`` / ``flush_reasons`` empty) when
+    aggregation is off.
     """
 
     appended: int
@@ -245,16 +245,6 @@ class AggregationStats:
     largest_bundle: int
     #: summed simulated parking time (append -> flush) over all entries
     parked_ns_total: float = 0.0
-    #: buffers force-flushed by the adaptive age bound
-    age_flushes: int = 0
-    #: targeted wait flushes across all ranks (0 unless ``wait_hints``)
-    wait_flushes: int = 0
-    #: adaptive-controller observations across all ranks
-    adaptive_updates: int = 0
-    #: recorded controller threshold decisions across all ranks
-    threshold_decisions: int = 0
-    #: framing bytes saved by bundle delta-compression
-    compression_saved_bytes: int = 0
     #: merged bundle-size -> count histogram
     bundle_size_hist: dict = field(default_factory=dict)
     #: merged flush-trigger -> count tally
@@ -268,9 +258,7 @@ class AggregationStats:
 
     @property
     def mean_parked_ns(self) -> float:
-        """Mean simulated parking latency of a flushed entry (the
-        quantity the adaptive controller drives down for sparse
-        traffic)."""
+        """Mean simulated parking latency of a flushed entry."""
         if not self.entries_flushed:
             return 0.0
         return self.parked_ns_total / self.entries_flushed
@@ -281,7 +269,6 @@ def aggregation_stats(world: "World") -> AggregationStats:
     counters of a world (all zeros when aggregation is off)."""
     appended = flushed = entries = largest = 0
     parked = 0.0
-    age = waits = updates = decisions = saved = 0
     hist: dict[int, int] = {}
     reasons: dict[str, int] = {}
     for s in aggregation_snapshots(world):
@@ -290,11 +277,6 @@ def aggregation_stats(world: "World") -> AggregationStats:
         entries += s.entries_flushed
         largest = max(largest, s.largest_bundle)
         parked += s.parked_ns_total
-        age += s.age_flushes
-        waits += s.wait_flushes
-        updates += s.adaptive_updates
-        decisions += len(s.threshold_trajectory)
-        saved += s.compression_saved_bytes
         for size, count in s.bundle_size_hist.items():
             hist[size] = hist.get(size, 0) + count
         for reason, count in s.flush_reasons.items():
@@ -305,11 +287,6 @@ def aggregation_stats(world: "World") -> AggregationStats:
         entries_flushed=entries,
         largest_bundle=largest,
         parked_ns_total=parked,
-        age_flushes=age,
-        wait_flushes=waits,
-        adaptive_updates=updates,
-        threshold_decisions=decisions,
-        compression_saved_bytes=saved,
         bundle_size_hist=hist,
         flush_reasons=reasons,
     )
@@ -318,83 +295,8 @@ def aggregation_stats(world: "World") -> AggregationStats:
 def aggregation_snapshots(world: "World"):
     """Per-rank :class:`~repro.gasnet.aggregator.AggregatorSnapshot` list
     (empty when aggregation is off) — the full per-rank view behind
-    :func:`aggregation_stats`, including each rank's adaptive threshold
-    trajectory."""
+    :func:`aggregation_stats`."""
     return gather_rank_snapshots(
         world,
         lambda ctx: ctx.am_agg.stats() if ctx.am_agg is not None else None,
-    )
-
-
-@dataclass(frozen=True)
-class ProgressStats:
-    """World-wide adaptive-progress counters (summed over ranks).
-
-    All zeros when ``FeatureFlags.progress_adaptive`` is off — use
-    :func:`progress_stats` (which returns ``None`` in that case, like
-    :func:`observability_stats`) to distinguish off from idle.
-    """
-
-    ranks: int
-    #: full polls observed (each charged PROGRESS_POLL + PROGRESS_ADAPT)
-    full_polls: int
-    #: provably-empty polls elided (each charged PROGRESS_POLL_SKIP)
-    skipped_polls: int
-    #: thunks dispatched under the controller (drain loop + aged retires)
-    dispatched: int
-    #: polls that hit the drain cap with non-aged work left over
-    capped_polls: int
-    #: enqueue-time mini-drains triggered by the age bound
-    aged_drains: int
-    #: thunks retired because they outlived ``progress_max_age_ticks``
-    aged_dispatched: int
-    #: recorded control decisions across all ranks
-    decisions: int
-    #: targeted-drain scans that found awaited work (0 unless
-    #: ``wait_hints``)
-    hinted_scans: int = 0
-    #: thunks dispatched ahead of the cap for an active wait target
-    hinted_dispatched: int = 0
-
-    @property
-    def elision_ratio(self) -> float:
-        """Fraction of progress calls elided as cheap skips."""
-        calls = self.full_polls + self.skipped_polls
-        if not calls:
-            return 0.0
-        return self.skipped_polls / calls
-
-
-def progress_snapshots(world: "World"):
-    """Per-rank
-    :class:`~repro.runtime.adaptive_progress.ProgressControllerSnapshot`
-    list (empty when ``FeatureFlags.progress_adaptive`` is off), including
-    each rank's control-decision trajectory."""
-    return gather_rank_snapshots(
-        world,
-        lambda ctx: (
-            ctx.progress_ctl.snapshot(ctx.rank)
-            if ctx.progress_ctl is not None
-            else None
-        ),
-    )
-
-
-def progress_stats(world: "World"):
-    """World-wide :class:`ProgressStats` rollup (``None`` when
-    ``FeatureFlags.progress_adaptive`` is off)."""
-    snaps = progress_snapshots(world)
-    if not snaps:
-        return None
-    return ProgressStats(
-        ranks=len(snaps),
-        full_polls=sum(s.full_polls for s in snaps),
-        skipped_polls=sum(s.skipped_polls for s in snaps),
-        dispatched=sum(s.dispatched for s in snaps),
-        capped_polls=sum(s.capped_polls for s in snaps),
-        aged_drains=sum(s.aged_drains for s in snaps),
-        aged_dispatched=sum(s.aged_dispatched for s in snaps),
-        decisions=sum(len(s.trajectory) for s in snaps),
-        hinted_scans=sum(s.hinted_scans for s in snaps),
-        hinted_dispatched=sum(s.hinted_dispatched for s in snaps),
     )

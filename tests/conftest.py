@@ -29,46 +29,8 @@ VE = Version.V2021_3_6_EAGER
 
 
 # ---------------------------------------------------------------------------
-# shared world/flags helpers (used by test_agg_adaptive, test_obs, the
-# adaptive-progress and fuzz suites; import as
-# ``from tests.conftest import adaptive_flags, ...``)
+# shared flags/body helpers (import as ``from tests.conftest import ...``)
 # ---------------------------------------------------------------------------
-
-
-def adaptive_flags(version=VE, **kw):
-    """Aggregation + adaptive-batching flags with tight test-sized knobs."""
-    defaults = dict(
-        am_aggregation=True,
-        agg_adaptive=True,
-        agg_max_entries=8,
-        agg_min_entries=2,
-        agg_max_bytes=4096,
-        agg_min_bytes=64,
-        agg_max_age_ticks=1000.0,
-    )
-    defaults.update(kw)
-    return flags_for(version).replace(**defaults)
-
-
-def adaptive_world(ranks=4, n_nodes=2, conduit="ibv", **kw):
-    """Ranks 0/1 on node 0, ranks 2/3 on node 1, adaptive batching on."""
-    return build_world(
-        RuntimeConfig(conduit=conduit, flags=adaptive_flags(**kw)),
-        ranks=ranks,
-        n_nodes=n_nodes,
-    )
-
-
-def send_agg_am(w, src, dst, sink=None, nbytes=8, label="am"):
-    """One aggregatable AM from ``src`` to ``dst`` (appends ``dst`` to
-    ``sink`` on delivery when a sink list is given)."""
-    handler = (lambda t: None) if sink is None else (
-        lambda t, s=sink: s.append(dst)
-    )
-    w.conduit.send_am(
-        w.contexts[src], dst, handler, nbytes=nbytes, label=label,
-        aggregatable=True,
-    )
 
 
 def obs_flags(version):
@@ -87,22 +49,6 @@ def rank_body(fn, continuation: bool):
     if continuation:
         return fn
     return lambda *args: fn(*args)
-
-
-def progress_adaptive_flags(version=VD, **kw):
-    """Adaptive-progress flags with tight test-sized knobs: small batch
-    cap, short age bound, and a modest poll-thinning ceiling so capped
-    drains, aged mini-drains, and elided polls all fire in small runs."""
-    defaults = dict(
-        progress_adaptive=True,
-        progress_min_batch=2,
-        progress_max_batch=8,
-        progress_min_poll_interval=1,
-        progress_max_poll_interval=16,
-        progress_max_age_ticks=2000.0,
-    )
-    defaults.update(kw)
-    return flags_for(version).replace(**defaults)
 
 
 @pytest.fixture(autouse=True)

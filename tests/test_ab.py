@@ -44,7 +44,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="toggle"):
             self._spec(toggle={
                 "sched_wake_list": True,
-                "wait_hints": True,
+                "obs_spans": True,
                 "cx_continuations": True,
             })
 
@@ -261,8 +261,8 @@ class TestWorkloadHelpers:
         assert ab._pick_variant(None, by_flag, arms["future"]) == "amo_future"
         assert ab._pick_variant(None, by_flag, arms["cont"]) == "cont"
         # an explicit variant takes precedence over variant_by_flag
-        assert ab._pick_variant("prog_adaptive", by_flag, arms["cont"]) == (
-            "prog_adaptive"
+        assert ab._pick_variant("rma_promise", by_flag, arms["cont"]) == (
+            "rma_promise"
         )
 
     def test_blocked_storm_wrong_axis_rejected(self):
@@ -278,7 +278,7 @@ class TestWorkloadHelpers:
         spec = ab.ABSpec(
             name="t", description="d", workload="blocked_storm",
             axis="ranks", points=(2,), seeds=(1,),
-            toggle={"wait_hints": True},
+            toggle={"obs_spans": True},
             metrics=(ab.MetricSpec("not_produced"),),
             workload_params={"rounds_by_ranks": {"2": 2}},
         )

@@ -1,49 +1,52 @@
-"""Adaptive AM-bundle batching: online threshold control, the age-bound
-flush latency guarantee, bundle delta-compression, and equivalence.
+"""AM aggregation knobs, flush timing, statistics and wait flushing.
 
-The adaptive layer (``repro.gasnet.adaptive`` + the aggregator/conduit
-hooks) must:
+The aggregator batches with two static thresholds, ``agg_max_entries``
+and ``agg_max_bytes``; there is no threshold controller, no age bound and
+no bundle compression.  The suite keeps the name it had when it also
+covered those removed mechanisms and now pins what stays of them:
 
-* converge to the threshold ceiling under dense synthetic arrivals and to
-  the floor under sparse ones (per-destination EWMA control law);
-* flush a stranded buffer at the next conduit activity or progress poll
-  once its oldest entry outlives ``agg_max_age_ticks``;
-* deliver strictly lower mean entry-parking latency than static
-  thresholds on sparse traffic while matching the static injection
-  reduction on dense traffic (the PR acceptance criteria);
-* leave handler execution bit-identical under delta-compression (a wire
-  footprint model change only);
-* keep deferred and eager builds observing identical final states with
-  adaptive + compression enabled;
-* be inert with the flags off — no controller, no extra charges.
+* knob validation happens when the flags value is built;
+* time alone never flushes a parked entry;
+* the per-rank snapshot, the world rollup, the report and the GUPS
+  result fields;
+* a put request parked below the thresholds is still published by the
+  initiator's ``wait()``, on the deferred build too.
 """
 
-import numpy as np
 import pytest
 
+from repro import barrier, new_, rank_me, rput
 from repro.apps.gups import GupsConfig, run_gups
 from repro.bench.report import format_aggregation_report
 from repro.errors import UpcxxError
-from repro.gasnet.adaptive import AdaptiveController
-from repro.gasnet.aggregator import (
-    BUNDLE_HEADER_BYTES,
-    ENTRY_HEADER_BYTES,
-    RUN_CONT_HEADER_BYTES,
-    AggEntry,
-    bundle_framing,
-)
-from repro.runtime.config import RuntimeConfig, Version, flags_for
+from repro.memory.global_ptr import GlobalPtr
+from repro.runtime.config import RuntimeConfig, flags_for
 from repro.runtime.runtime import build_world, spmd_run
-from repro.sim.costmodel import CostAction
 from repro.sim.stats import aggregation_snapshots, aggregation_stats
 
-from tests.conftest import (
-    VD,
-    VE,
-    adaptive_flags,
-    adaptive_world,
-    send_agg_am as send,
-)
+from tests.conftest import VD, VE
+
+
+def agg_flags(version=VE, max_entries=32, max_bytes=4096):
+    return flags_for(version).replace(
+        am_aggregation=True,
+        agg_max_entries=max_entries,
+        agg_max_bytes=max_bytes,
+    )
+
+
+def agg_world(ranks=4, n_nodes=2, conduit="ibv", **kw):
+    """Ranks 0/1 on node 0, ranks 2/3 on node 1, aggregation on."""
+    return build_world(
+        RuntimeConfig(conduit=conduit, flags=agg_flags(**kw)),
+        ranks=ranks,
+        n_nodes=n_nodes,
+    )
+
+
+def send(w, src, dst):
+    """One aggregatable AM from ``src`` to ``dst``."""
+    w.conduit.send_am(w.contexts[src], dst, lambda t: None, aggregatable=True)
 
 
 # ---------------------------------------------------------------------------
@@ -59,18 +62,12 @@ class TestFlagValidation:
             dict(agg_max_entries=-3),
             dict(agg_max_bytes=0),
             dict(agg_max_bytes=-1),
-            dict(agg_min_entries=0),
-            dict(agg_min_bytes=-2),
-            dict(agg_max_age_ticks=0.0),
-            dict(agg_max_age_ticks=-50.0),
-            dict(agg_ewma_alpha=0.0),
-            dict(agg_ewma_alpha=1.5),
         ],
     )
     def test_bad_knobs_rejected_at_construction(self, bad):
         """Zero/negative knobs would make a buffer never flush; they must
         fail when the flags value is *built*, before any world exists."""
-        with pytest.raises(UpcxxError):
+        with pytest.raises(UpcxxError, match=next(iter(bad))):
             flags_for(VE).replace(**bad)
 
     def test_rejected_even_with_aggregation_off(self):
@@ -78,343 +75,29 @@ class TestFlagValidation:
         with pytest.raises(UpcxxError):
             flags_for(VE).replace(am_aggregation=False, agg_max_bytes=0)
 
-    def test_inverted_bounds_rejected_when_adaptive(self):
-        with pytest.raises(UpcxxError):
-            flags_for(VE).replace(
-                am_aggregation=True, agg_adaptive=True,
-                agg_min_entries=16, agg_max_entries=8,
-            )
-        with pytest.raises(UpcxxError):
-            flags_for(VE).replace(
-                am_aggregation=True, agg_adaptive=True,
-                agg_min_bytes=512, agg_max_bytes=256,
-            )
-
     def test_static_config_may_use_tiny_byte_threshold(self):
-        """Without the controller the floors are dormant: a static config
-        below the adaptive floor defaults stays legal (PR-1 behaviour)."""
-        fl = flags_for(VE).replace(am_aggregation=True, agg_max_bytes=64)
-        assert fl.agg_max_bytes == 64
+        """Any threshold of at least 1 is legal, however small."""
+        fl = flags_for(VE).replace(am_aggregation=True, agg_max_bytes=1)
+        assert fl.agg_max_bytes == 1
 
 
 # ---------------------------------------------------------------------------
-# controller convergence
-# ---------------------------------------------------------------------------
-
-
-class TestControllerConvergence:
-    def test_control_law_constant_gap(self):
-        """E* = clamp(floor, 1 + A/g, ceiling) for a steady arrival gap."""
-        fl = adaptive_flags(agg_max_age_ticks=1000.0)
-        ctl = AdaptiveController(fl)
-        t = 0.0
-        for _ in range(20):
-            ctl.observe(t, dst_rank=2, nbytes=16)
-            t += 250.0  # g = 250 -> E* = 1 + 1000/250 = 5
-        assert ctl.thresholds(2)[0] == 5
-
-    def test_dense_converges_to_ceiling(self):
-        w = adaptive_world(agg_max_age_ticks=100_000.0)
-        ctx0 = w.contexts[0]
-        for _ in range(32):
-            send(w, 0, 2)  # gaps are just the append charges (~10 ns)
-        agg = ctx0.am_agg
-        assert agg.thresholds_for(2)[0] == 8  # ceiling
-        s = agg.stats()
-        # every flush closed a full ceiling-depth bundle
-        assert set(s.bundle_size_hist) == {8}
-        assert s.flush_reasons.get("entries") == 4
-
-    def test_sparse_converges_to_floor(self):
-        w = adaptive_world(agg_max_age_ticks=1000.0)
-        ctx0 = w.contexts[0]
-        for _ in range(24):
-            ctx0.clock.advance(600.0)  # g ~ 600 -> E* = int(1+1.67) = 2
-            send(w, 0, 2)
-        assert ctx0.am_agg.thresholds_for(2)[0] == 2  # floor
-
-    def test_trajectory_records_changes(self):
-        w = adaptive_world(agg_max_age_ticks=1000.0)
-        ctx0 = w.contexts[0]
-        for _ in range(8):
-            ctx0.clock.advance(600.0)
-            send(w, 0, 2)
-        traj = ctx0.am_agg.stats().threshold_trajectory
-        assert traj  # ceiling -> floor transition was recorded
-        assert traj[-1].dst_rank == 2
-        assert traj[-1].max_entries == 2
-        assert ctx0.am_agg.stats().adaptive_updates == 8
-
-    def test_byte_threshold_tracks_payload_size(self):
-        """B* carries 2x slack over E* x s_hat, clamped to the bounds."""
-        fl = adaptive_flags(agg_max_age_ticks=1000.0)
-        ctl = AdaptiveController(fl)
-        t = 0.0
-        for _ in range(20):
-            ctl.observe(t, dst_rank=2, nbytes=100)
-            t += 250.0
-        entries, nbytes = ctl.thresholds(2)
-        assert entries == 5
-        assert nbytes == 1000  # 2 * 5 * 100, inside [64, 4096]
-
-    def test_estimators_are_per_destination(self):
-        w = adaptive_world(agg_max_age_ticks=1000.0)
-        ctx0 = w.contexts[0]
-        for _ in range(16):
-            send(w, 0, 2)  # rank 2 sees bursts: half its gaps are tiny
-            send(w, 0, 2)
-            ctx0.clock.advance(600.0)
-            send(w, 0, 3)  # rank 3 only ever sees the long gap
-        agg = ctx0.am_agg
-        assert agg.thresholds_for(3)[0] == 2
-        assert agg.thresholds_for(2)[0] > 2
-
-    def test_adaptive_off_means_no_controller(self):
-        w = build_world(
-            RuntimeConfig(
-                conduit="ibv",
-                flags=flags_for(VE).replace(am_aggregation=True),
-            ),
-            ranks=4,
-            n_nodes=2,
-        )
-        ctx0 = w.contexts[0]
-        assert ctx0.am_agg.controller is None
-        send(w, 0, 2)
-        assert ctx0.costs.count(CostAction.AM_AGG_ADAPT) == 0
-        assert ctx0.am_agg.stats().threshold_trajectory == ()
-
-
-# ---------------------------------------------------------------------------
-# age-bound flush
+# flushing is never time-driven
 # ---------------------------------------------------------------------------
 
 
 class TestAgeBound:
-    def test_aged_buffer_flushed_by_next_send(self):
-        w = adaptive_world(agg_max_age_ticks=1000.0)
-        ctx0 = w.contexts[0]
-        send(w, 0, 2)
-        assert w.conduit.pending_for(2) == 0  # parked
-        ctx0.clock.advance(1500.0)
-        # any conduit activity retires the stale buffer — here an on-node,
-        # non-aggregatable AM to a different rank
-        w.conduit.send_am(ctx0, 1, lambda t: None)
-        assert w.conduit.pending_for(2) == 1
-        s = ctx0.am_agg.stats()
-        assert s.age_flushes == 1
-        assert s.flush_reasons.get("age") == 1
-
-    def test_aged_buffer_flushed_by_poll(self):
-        w = adaptive_world(agg_max_age_ticks=1000.0)
-        ctx0 = w.contexts[0]
-        send(w, 0, 2)
-        ctx0.clock.advance(2000.0)
-        w.conduit.poll(ctx0)  # conduit activity on the sender side
-        assert w.conduit.pending_for(2) == 1
-        assert ctx0.am_agg.age_flushes == 1
-
-    def test_fresh_buffer_not_age_flushed(self):
-        w = adaptive_world(agg_max_age_ticks=1000.0)
-        ctx0 = w.contexts[0]
-        send(w, 0, 2)
-        ctx0.clock.advance(100.0)  # well inside the bound
-        w.conduit.send_am(ctx0, 1, lambda t: None)
-        assert w.conduit.pending_for(2) == 0
-        assert ctx0.am_agg.age_flushes == 0
-
-    def test_latency_guarantee(self):
-        """Parking latency of a stranded entry is bounded by the age knob
-        plus the gap to the rank's next conduit action."""
-        age, activity_gap = 1000.0, 400.0
-        w = adaptive_world(agg_max_age_ticks=age)
-        ctx0 = w.contexts[0]
-        send(w, 0, 2)
-        # the rank keeps polling (conduit activity) every 400 ticks
-        for _ in range(100):
-            if not ctx0.am_agg.pending_entries(2):
-                break
-            ctx0.clock.advance(activity_gap)
-            w.conduit.poll(ctx0)
-        assert ctx0.am_agg.pending_entries(2) == 0
-        latency = ctx0.am_agg.stats().parked_ns_total  # the single entry
-        assert latency >= age
-        assert latency <= age + activity_gap + 1e-9
-
     def test_no_age_flush_when_adaptive_off(self):
-        w = build_world(
-            RuntimeConfig(
-                conduit="ibv",
-                flags=flags_for(VE).replace(am_aggregation=True),
-            ),
-            ranks=4,
-            n_nodes=2,
-        )
+        """A parked entry waits for a threshold, an explicit flush or a
+        progress call, however much time passes and whatever else the
+        sender injects."""
+        w = agg_world()
         ctx0 = w.contexts[0]
         send(w, 0, 2)
         ctx0.clock.advance(1e9)
         w.conduit.send_am(ctx0, 1, lambda t: None)
-        assert ctx0.am_agg.pending_entries(2) == 1  # static: parked forever
+        assert ctx0.am_agg.pending_entries(2) == 1
         assert ctx0.am_agg.flush_aged() == 0
-
-
-# ---------------------------------------------------------------------------
-# acceptance: sparse latency down, dense injections matched
-# ---------------------------------------------------------------------------
-
-
-def _synthetic_run(adaptive: bool, gap_ns: float, n: int = 64):
-    """One sender streaming to one off-node dest with a fixed arrival gap;
-    returns (mean parked ns, bundles flushed, sender AM_INJECT count)."""
-    if adaptive:
-        fl = adaptive_flags(agg_max_entries=32, agg_max_age_ticks=20_000.0)
-    else:
-        fl = flags_for(VE).replace(am_aggregation=True, agg_max_entries=32)
-    w = build_world(
-        RuntimeConfig(conduit="ibv", flags=fl), ranks=4, n_nodes=2
-    )
-    ctx0 = w.contexts[0]
-    for _ in range(n):
-        ctx0.clock.advance(gap_ns)
-        send(w, 0, 2)
-    ctx0.am_agg.flush_all()  # ship stragglers so every entry is counted
-    s = ctx0.am_agg.stats()
-    return s.mean_parked_ns, s.bundles_flushed, ctx0.costs.count(
-        CostAction.AM_INJECT
-    )
-
-
-class TestAcceptance:
-    def test_sparse_mean_parking_latency_strictly_lower(self):
-        """Sparse traffic (gap comparable to the age bound): adaptive
-        thresholds must park entries for strictly less simulated time
-        than the static 32-entry threshold."""
-        gap = 5000.0  # E* = int(1 + 20000/5000) = 5 << 32
-        static_park, _, _ = _synthetic_run(adaptive=False, gap_ns=gap)
-        adaptive_park, bundles, _ = _synthetic_run(adaptive=True, gap_ns=gap)
-        assert adaptive_park < static_park
-        assert bundles > 2  # actually streamed out, not one giant flush
-
-    def test_dense_injection_reduction_matched(self):
-        """Dense traffic: the controller sits at the ceiling, so bundles
-        and injections match the static configuration exactly."""
-        gap = 50.0  # E* = 1 + 20000/50 = 401 -> clamped to ceiling 32
-        _, static_bundles, static_inj = _synthetic_run(
-            adaptive=False, gap_ns=gap
-        )
-        _, adaptive_bundles, adaptive_inj = _synthetic_run(
-            adaptive=True, gap_ns=gap
-        )
-        assert adaptive_bundles == static_bundles
-        assert adaptive_inj <= static_inj
-
-    def test_dense_gups_injections_not_worse(self):
-        """End to end: the dense GUPS agg run keeps the static injection
-        reduction with the controller on."""
-        cfg = GupsConfig(
-            variant="agg", table_log2=10, updates_per_rank=64, batch=16
-        )
-        runs = {}
-        for adaptive in (False, True):
-            fl = flags_for(VE).replace(
-                am_aggregation=True, agg_max_entries=16,
-                agg_adaptive=adaptive,
-            )
-            runs[adaptive] = run_gups(
-                cfg, ranks=4, n_nodes=2, version=VE, machine="generic",
-                conduit="ibv", flags=fl,
-            )
-            assert runs[adaptive].matches_oracle
-        assert runs[True].am_injects <= runs[False].am_injects
-
-
-# ---------------------------------------------------------------------------
-# bundle delta-compression
-# ---------------------------------------------------------------------------
-
-
-class TestCompression:
-    def test_framing_homogeneous_run(self):
-        entries = [
-            AggEntry(lambda t: None, (), 8, "rpc_ff") for _ in range(10)
-        ]
-        flat, runs, saved = bundle_framing(entries, compress=False)
-        assert flat == BUNDLE_HEADER_BYTES + 10 * ENTRY_HEADER_BYTES
-        assert (runs, saved) == (10, 0)
-        framed, runs, saved = bundle_framing(entries, compress=True)
-        assert runs == 1
-        assert framed == (
-            BUNDLE_HEADER_BYTES
-            + ENTRY_HEADER_BYTES
-            + 9 * RUN_CONT_HEADER_BYTES
-        )
-        assert saved == 9 * (ENTRY_HEADER_BYTES - RUN_CONT_HEADER_BYTES)
-
-    def test_framing_mixed_labels(self):
-        labels = ["put_req", "put_req", "rpc_ff", "rpc_ff", "put_req"]
-        entries = [AggEntry(lambda t: None, (), 8, lb) for lb in labels]
-        _, runs, saved = bundle_framing(entries, compress=True)
-        assert runs == 3  # put_req x2 | rpc_ff x2 | put_req
-        assert saved == 2 * (ENTRY_HEADER_BYTES - RUN_CONT_HEADER_BYTES)
-
-    def test_framing_empty(self):
-        assert bundle_framing([], compress=True) == (
-            BUNDLE_HEADER_BYTES, 0, 0
-        )
-
-    def _world(self, compress):
-        fl = flags_for(VE).replace(
-            am_aggregation=True, agg_max_entries=8,
-            agg_compression=compress,
-        )
-        return build_world(
-            RuntimeConfig(conduit="ibv", flags=fl), ranks=4, n_nodes=2
-        )
-
-    def test_roundtrip_handlers_identical(self):
-        """Compression shrinks modeled framing only: the receiver runs
-        exactly the same handlers in the same order."""
-        deliveries = {}
-        for compress in (False, True):
-            w = self._world(compress)
-            got = []
-            for i in range(8):
-                w.conduit.send_am(
-                    w.contexts[0], 2, lambda t, i=i: got.append(i),
-                    nbytes=8, label="rpc_ff", aggregatable=True,
-                )
-            w.contexts[2].progress()
-            deliveries[compress] = got
-        assert deliveries[False] == deliveries[True] == list(range(8))
-
-    def test_wire_footprint_shrinks(self):
-        wires = {}
-        for compress in (False, True):
-            w = self._world(compress)
-            for _ in range(8):
-                send(w, 0, 2, nbytes=8, label="rpc_ff")
-            msg = w.conduit._inboxes[2]._queue[0]
-            wires[compress] = msg.nbytes
-        saving = 7 * (ENTRY_HEADER_BYTES - RUN_CONT_HEADER_BYTES)
-        assert wires[False] - wires[True] == saving
-
-    def test_compression_cost_and_stats(self):
-        w = self._world(True)
-        ctx0 = w.contexts[0]
-        for _ in range(8):
-            send(w, 0, 2, nbytes=8, label="rpc_ff")
-        assert ctx0.costs.count(CostAction.AM_BUNDLE_COMPRESS) == 8
-        assert ctx0.am_agg.stats().compression_saved_bytes == 7 * (
-            ENTRY_HEADER_BYTES - RUN_CONT_HEADER_BYTES
-        )
-
-    def test_no_compress_charges_when_off(self):
-        w = self._world(False)
-        ctx0 = w.contexts[0]
-        for _ in range(8):
-            send(w, 0, 2, nbytes=8, label="rpc_ff")
-        assert ctx0.costs.count(CostAction.AM_BUNDLE_COMPRESS) == 0
-        assert ctx0.am_agg.stats().compression_saved_bytes == 0
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +107,7 @@ class TestCompression:
 
 class TestStats:
     def test_snapshot_and_world_rollup(self):
-        w = adaptive_world(agg_max_age_ticks=1000.0)
+        w = agg_world(max_entries=5)
         ctx0 = w.contexts[0]
         for _ in range(12):
             ctx0.clock.advance(600.0)
@@ -436,13 +119,10 @@ class TestStats:
         assert snap.entries_flushed == 12
         assert snap.pending_entries == 0
         assert sum(snap.bundle_size_hist.values()) == snap.bundles_flushed
-        assert snap.adaptive_updates == 12
         assert snap.mean_parked_ns > 0.0
 
         world_stats = aggregation_stats(w)
         assert world_stats.appended == 12
-        assert world_stats.adaptive_updates == 12
-        assert world_stats.threshold_decisions >= 1
         assert world_stats.bundle_size_hist == snap.bundle_size_hist
         assert world_stats.mean_parked_ns == pytest.approx(
             snap.mean_parked_ns
@@ -452,14 +132,14 @@ class TestStats:
         assert snaps[0] == snap
 
     def test_progress_flush_reason_tagged(self):
-        w = adaptive_world()
+        w = agg_world()
         send(w, 0, 2)
         w.contexts[0].progress()
         reasons = w.contexts[0].am_agg.stats().flush_reasons
         assert reasons.get("progress_entry") == 1
 
     def test_report_formatting(self):
-        w = adaptive_world(agg_max_age_ticks=1000.0)
+        w = agg_world(max_entries=4)
         ctx0 = w.contexts[0]
         for _ in range(6):
             ctx0.clock.advance(600.0)
@@ -469,82 +149,33 @@ class TestStats:
             "AM aggregation activity", aggregation_stats(w)
         )
         assert "bundles flushed" in text
-        assert "adaptive updates" in text
-        assert "framing bytes saved" in text
         assert "mean parked (us)" in text
+        assert "bundles of 4" in text
+        assert "flushes: entries" in text
 
     def test_gups_result_carries_agg_fields(self):
         cfg = GupsConfig(
             variant="agg", table_log2=10, updates_per_rank=32, batch=8
         )
-        fl = adaptive_flags(
-            agg_max_entries=16, agg_min_entries=2, agg_compression=True,
-            agg_max_age_ticks=131072.0,
-        )
         r = run_gups(
             cfg, ranks=4, n_nodes=2, version=VE, machine="generic",
-            conduit="ibv", flags=fl,
+            conduit="ibv", flags=agg_flags(max_entries=16),
         )
         assert r.matches_oracle
-        assert r.agg_bytes_saved > 0
         assert r.agg_mean_parked_ns >= 0.0
+        assert r.agg_stats.entries_flushed == r.am_agg_entries
 
 
 # ---------------------------------------------------------------------------
-# semantics equivalence with everything on
+# the wait flush point
 # ---------------------------------------------------------------------------
 
 
 class TestEquivalence:
-    def test_gups_defer_eager_identical_with_adaptive_compression(self):
-        """The acceptance gate extended to the new flags: deferred and
-        eager builds reach identical final tables with adaptive batching
-        *and* delta-compression enabled, and match the race-free oracle."""
-        cfg = GupsConfig(
-            variant="agg", table_log2=10, updates_per_rank=64, batch=16
-        )
-        tables = {}
-        for version in (VD, VE):
-            fl = adaptive_flags(
-                version, agg_max_entries=16, agg_compression=True,
-                agg_max_age_ticks=4096.0,  # tight: age flushes engage
-            )
-            r = run_gups(
-                cfg, ranks=4, n_nodes=2, version=version,
-                machine="generic", conduit="ibv", flags=fl,
-            )
-            assert r.matches_oracle
-            assert r.error_fraction == 0.0
-            assert r.am_bundles > 0
-            tables[version] = r.table
-        assert np.array_equal(tables[VD], tables[VE])
-
-    def test_adaptive_compression_vs_flags_off_same_state(self):
-        """Adaptive + compression is a pure schedule/footprint change:
-        final table identical to the all-off configuration."""
-        cfg = GupsConfig(
-            variant="agg", table_log2=10, updates_per_rank=64, batch=16
-        )
-        fl_off = flags_for(VE)
-        fl_on = adaptive_flags(
-            agg_max_entries=16, agg_compression=True,
-            agg_max_age_ticks=4096.0,
-        )
-        runs = {}
-        for key, fl in (("off", fl_off), ("on", fl_on)):
-            runs[key] = run_gups(
-                cfg, ranks=4, n_nodes=2, version=VE, machine="generic",
-                conduit="ibv", flags=fl,
-            )
-            assert runs[key].matches_oracle
-        assert np.array_equal(runs["off"].table, runs["on"].table)
-        assert runs["on"].am_injects < runs["off"].am_injects
-
     def test_wait_and_barrier_still_covered(self):
-        """The progress flush points survive the adaptive rework: a put
-        request parked under adaptive thresholds is published by wait()."""
-        from repro import barrier, new_, rank_me, rput
-        from repro.memory.global_ptr import GlobalPtr
+        """On the deferred build a put request parked below an entry
+        threshold the body never reaches is published by the initiator's
+        wait(), and the barriers on either side still terminate."""
 
         def body():
             g = new_("u64", 0)
@@ -556,7 +187,7 @@ class TestEquivalence:
             return int(g.local().read())
 
         res = spmd_run(
-            body, ranks=4, n_nodes=2, conduit="ibv",
-            flags=adaptive_flags(agg_compression=True),
+            body, ranks=4, n_nodes=2, conduit="ibv", version=VD,
+            flags=agg_flags(VD, max_entries=64),
         )
         assert res.values == [0, 0, 123, 0]

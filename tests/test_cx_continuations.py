@@ -1,6 +1,6 @@
 """Unit tests for notifiable completions: continuations and counters.
 
-The ``cx_continuations`` feature (DESIGN.md §13) adds two completion
+The ``cx_continuations`` feature (DESIGN.md §11) adds two completion
 kinds beyond futures/promises: continuation completions (a callback
 dispatched inline at whichever agent observes completion, with zero
 future/cell allocation on the sync path) and counter completions (N
@@ -19,7 +19,6 @@ from repro.core.events import Event
 from repro.errors import CompletionError
 from repro.runtime.config import Version, flags_for
 from repro.runtime.runtime import spmd_run
-from repro.runtime.wait_hints import WaitTarget
 from repro.sim.costmodel import CostAction
 from repro.sim.stats import observability_snapshots
 from tests.conftest import rank_body
@@ -226,28 +225,6 @@ class TestCounter:
 
 
 # ---------------------------------------------------------------------------
-# wait-hint targeting of counter waits
-# ---------------------------------------------------------------------------
-
-
-class TestWaitTargetDsts:
-    def test_flush_dsts_merges_and_sorts(self):
-        t = WaitTarget(dst_rank=3, dst_ranks=(5, 1, 3))
-        assert t.flush_dsts == (1, 3, 5)
-        assert t.targeted
-
-    def test_dst_ranks_alone_is_targeted(self):
-        t = WaitTarget(dst_ranks=(2,))
-        assert t.targeted
-        assert t.flush_dsts == (2,)
-
-    def test_single_dst_unchanged(self):
-        t = WaitTarget(dst_rank=4)
-        assert t.flush_dsts == (4,)
-        assert WaitTarget().flush_dsts == ()
-
-
-# ---------------------------------------------------------------------------
 # off-node integration, both rank-body styles
 # ---------------------------------------------------------------------------
 
@@ -318,33 +295,22 @@ def _offnode_counter_body(n_ops):
 
 
 @pytest.mark.parametrize("continuation", (False, True))
-@pytest.mark.parametrize("hints", (False, True))
-def test_offnode_counter_with_aggregation(continuation, hints):
+@pytest.mark.parametrize("eager", (False, True))
+def test_offnode_counter_with_aggregation(continuation, eager):
     """A counter aggregating off-node atomics completes under AM
-    aggregation + wait hints in both body styles (the hinted wait's
-    flush set covers the member destinations)."""
+    aggregation in both body styles on both builds (the wait's
+    progress-entry flush ships the member requests)."""
+    version = VE if eager else VD
     fl = _cx_flags(
-        VD,
+        version,
         am_aggregation=True,
         agg_max_entries=64,  # large: only the wait's flush drains it
-        wait_hints=hints,
     )
     res = spmd_run(
         rank_body(_offnode_counter_body, continuation), args=(6,),
-        ranks=2, version=VD, conduit="ibv", n_nodes=2, flags=fl,
+        ranks=2, version=version, conduit="ibv", n_nodes=2, flags=fl,
     )
     assert res.values == [6, 6]
-
-
-def test_counter_records_offnode_dsts(versioned_ctx):
-    """mark_injected records member destinations for the hinted wait."""
-    c = versioned_ctx(VE, flags=_cx_flags(VE))
-    ctr = CxCounter(2)
-    d = CxDispatcher(c, operation_cx.as_counter(ctr), supported=ALL)
-    d.mark_injected(0, 8, local=False)
-    d2 = CxDispatcher(c, operation_cx.as_counter(ctr), supported=ALL)
-    d2.mark_injected(0, 8, local=True)
-    assert ctr._dsts == {0}
 
 
 def test_flag_off_runs_are_bit_identical():

@@ -1,4 +1,4 @@
-"""Differential fuzzing: eager / defer / adaptive / hinted equivalence.
+"""Differential fuzzing: eager / defer equivalence.
 
 The tentpole guarantee of the fuzz harness (``repro.fuzz``): for any
 generated program, all notification configurations agree on
@@ -97,24 +97,8 @@ class TestModeFlags:
         for mode in MODES:
             version, flags = mode_flags(mode)
             assert flags == flags  # constructible & validated
-
-    def test_adaptive_mode_is_defer_plus_controller(self):
-        _, defer = mode_flags("defer")
-        _, adaptive = mode_flags("adaptive")
-        assert not defer.eager_notification
-        assert not defer.progress_adaptive
-        assert not adaptive.eager_notification
-        assert adaptive.progress_adaptive
-
-    def test_hinted_mode_is_adaptive_plus_wait_hints(self):
-        _, adaptive = mode_flags("adaptive")
-        _, hinted = mode_flags("hinted")
-        assert not adaptive.wait_hints
-        assert hinted.wait_hints
-        assert hinted.progress_adaptive
-        assert hinted.replace(
-            wait_hints=False, wait_flush_fill_frac=adaptive.wait_flush_fill_frac
-        ) == adaptive
+        assert mode_flags("eager")[1].eager_notification
+        assert not mode_flags("defer")[1].eager_notification
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown fuzz mode"):
@@ -123,8 +107,8 @@ class TestModeFlags:
 
 class TestDifferentialSweep:
     def test_sweep_200_programs_all_modes_agree(self):
-        """The headline: 200 generated programs; eager, defer,
-        adaptive-progress, and hinted agree on every one."""
+        """The headline: 200 generated programs; eager and defer agree on
+        every one."""
         failures = []
         for index in range(SWEEP_PROGRAMS):
             prog = generate_program(SWEEP_SEED * 1_000_003 + index)
@@ -195,8 +179,8 @@ class TestCxModes:
         rng = random.Random(11)
         for _ in range(4):
             prog = generate_program(rng.randrange(1 << 30))
-            first = run_program(prog, "adaptive", cx=cx)
-            second = run_program(prog, "adaptive", cx=cx)
+            first = run_program(prog, "defer", cx=cx)
+            second = run_program(prog, "defer", cx=cx)
             assert first == second
             assert first.clock_ns == second.clock_ns
 
@@ -208,15 +192,15 @@ class TestCxModes:
             assert check_program(prog, cx_modes=CX_MODES[1:]) == []
 
     def test_cross_scheduler_exact_with_cx(self):
-        """The event loop reproduces the thread-per-rank scheduler's
-        swapped runs bit-for-bit, clocks and switch traces included
-        (its records are in the golden file)."""
+        """Swapped defer runs reproduce their golden records bit-for-bit,
+        clocks and switch traces included (the only golden pin of
+        continuation and counter scheduling)."""
         assert FUZZ_SWEEP_PROGRAMS == tuple(
             SWEEP_SEED * 1_000_003 + i for i in range(6)
         )
         for index in range(len(FUZZ_SWEEP_PROGRAMS)):
             for cx in CX_MODES[1:]:
-                assert_golden(f"fuzz_sweep{index}_adaptive_{cx}")
+                assert_golden(f"fuzz_sweep{index}_defer_{cx}")
 
 
 class TestReplay:
@@ -253,4 +237,4 @@ class TestReplay:
         to the same outcomes after a JSON round trip."""
         prog = generate_program(12345)
         clone = program_from_json(program_to_json(prog))
-        assert run_program(prog, "adaptive") == run_program(clone, "adaptive")
+        assert run_program(prog, "defer") == run_program(clone, "defer")

@@ -309,23 +309,6 @@ class TestGupsFlagMatrixParity:
         assert r_shim.gups == r_cont.gups
         assert (r_shim.table == r_cont.table).all()
 
-    def test_wait_hints_and_adaptive_axes(self, monkeypatch):
-        from repro.apps.gups import GupsConfig
-
-        cfg = GupsConfig(variant="wait_hints", table_log2=8,
-                         updates_per_rank=16, batch=8)
-        base = dataclasses.replace(
-            flags_for(Version.V2021_3_6_DEFER),
-            wait_hints=True, progress_adaptive=True, obs_spans=True,
-        )
-        r_cont, r_shim = _gups_both(
-            monkeypatch, cfg, base, ranks=4,
-            version=Version.V2021_3_6_DEFER, machine="generic",
-            conduit="udp", n_nodes=2,
-        )
-        assert r_shim.checksum == r_cont.checksum
-        assert r_shim.solve_ns == r_cont.solve_ns
-
 
 class TestFuzzParity:
     """Property tests on seeded fuzz programs: for any generated program
@@ -347,7 +330,7 @@ class TestFuzzParity:
     @pytest.mark.parametrize("seed", [3, 11, 27])
     def test_switch_traces_identical(self, seed):
         program = generate_program(seed)
-        version, flags = mode_flags("hinted")
+        version, flags = mode_flags("defer")
         values, _, trace = run_both(
             _fuzz_body, ranks=program.ranks, version=version,
             machine="generic", conduit=program.conduit,

@@ -1,9 +1,8 @@
 """Flag-matrix equivalence: small GUPS across every feature-flag combo.
 
 One small ``agg``-variant GUPS run (4 ranks / 2 nodes / udp) is executed
-for every combination of ``{eager, defer} x 2^6`` feature flags:
-``am_aggregation``, ``agg_adaptive``, ``agg_compression``, ``obs_spans``,
-``progress_adaptive``, ``wait_hints``.  Expectations:
+for every combination of ``{eager, defer} x 2^2`` feature flags:
+``am_aggregation`` and ``obs_spans``.  Expectations:
 
 ===================  =====================================================
 axis                 expectation
@@ -12,24 +11,11 @@ axis                 expectation
                      program semantics
 obs_spans            pure observation: toggling it leaves ``solve_ns``
                      and ``am_injects`` bit-identical
-agg_adaptive,        inert without ``am_aggregation``: ``solve_ns``,
-agg_compression      ``am_injects`` and checksum bit-identical to the
-                     same combo with the dead flags cleared
 am_aggregation       strictly fewer ``AM_INJECT`` charges than the same
                      combo without it (bundling), and bundle headers
                      appear; checksum unchanged
-progress_adaptive    checksum unchanged vs. the same combo without it;
-                     total ``PROGRESS_POLL`` charge does not exceed the
-                     static engine's (skips replace full polls; the few
-                     aged mini-drains are charged as polls and must be
-                     amortized by the elisions)
-wait_hints           checksum unchanged, and zero targeted wait flushes —
-                     the ``agg`` workload blocks only in barriers, whose
-                     wait target is non-targeting by design; without
-                     ``am_aggregation`` + ``agg_adaptive`` (the aged
-                     near-full ride-along, the one waitless pathway) the
-                     flag is fully inert: ``solve_ns`` and ``am_injects``
-                     bit-identical to the same combo with it cleared
+agg_max_* knobs      inert without ``am_aggregation``: the smallest legal
+                     thresholds leave every observable bit-identical
 ===================  =====================================================
 
 Timing (``solve_ns``) is *expected* to differ across the notification
@@ -41,24 +27,26 @@ flags (``sched_wake_list``, ``cost_batching`` — pure implementation
 strategies, bit-identical on every observable) and ``cx_continuations``
 (a *gate* on the continuation/counter completion kinds: bit-identical
 for workloads that request neither, documented expectations for the
-``cont`` workload that does).
+``cont`` workload that does).  A Hypothesis property at the end draws
+from the whole flag space: every one of the 15 ``FeatureFlags`` fields,
+any mix of the build booleans, any GUPS variant and topology.
 """
 
+import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.apps.gups import GupsConfig, run_gups
-from repro.runtime.config import flags_for
+from repro.apps.gups import GUPS_VARIANTS, HPCC_TOLERANCE, GupsConfig, run_gups
+from repro.errors import UpcxxError
+from repro.runtime.config import FeatureFlags, flags_for
 from tests.conftest import VD, VE
 
 AXES = (
     "am_aggregation",
-    "agg_adaptive",
-    "agg_compression",
     "obs_spans",
-    "progress_adaptive",
-    "wait_hints",
 )
 
 CFG = GupsConfig(variant="agg", table_log2=8, updates_per_rank=16, batch=8)
@@ -70,7 +58,7 @@ def combo_key(version, on):
 
 @pytest.fixture(scope="module")
 def matrix():
-    """All 128 runs, keyed by (version, frozenset(enabled flag names))."""
+    """All 8 runs, keyed by (version, frozenset(enabled flag names))."""
     results = {}
     for version in (VE, VD):
         for bits in itertools.product((False, True), repeat=len(AXES)):
@@ -118,15 +106,21 @@ class TestMatrix:
             assert obs.checksum == base.checksum, (version, on)
 
     def test_agg_knob_flags_inert_without_aggregation(self, matrix):
+        """The batching thresholds only matter once ``am_aggregation``
+        is on: the smallest legal values change nothing without it."""
         for version, on in combos(without=("am_aggregation",)):
-            dead = on & {"agg_adaptive", "agg_compression"}
-            if not dead:
-                continue
-            stripped = matrix[combo_key(version, on - dead)]
-            res = matrix[combo_key(version, on)]
-            assert res.solve_ns == stripped.solve_ns, (version, on)
-            assert res.am_injects == stripped.am_injects, (version, on)
-            assert res.checksum == stripped.checksum, (version, on)
+            flags = flags_for(version).replace(
+                agg_max_entries=1, agg_max_bytes=1,
+                **{name: True for name in on},
+            )
+            res = run_gups(
+                CFG, ranks=4, n_nodes=2, conduit="udp", version=version,
+                machine="generic", flags=flags,
+            )
+            base = matrix[combo_key(version, on)]
+            assert res.solve_ns == base.solve_ns, (version, on)
+            assert res.am_injects == base.am_injects, (version, on)
+            assert res.checksum == base.checksum, (version, on)
 
     def test_aggregation_bundles_reduce_injections(self, matrix):
         for version, on in combos(without=("am_aggregation",)):
@@ -137,46 +131,14 @@ class TestMatrix:
             assert base.am_bundles == 0, (version, on)
             assert agg.checksum == base.checksum, (version, on)
 
-    def test_adaptive_progress_preserves_results_and_poll_budget(
-        self, matrix
-    ):
-        for version, on in combos(without=("progress_adaptive",)):
-            static = matrix[combo_key(version, on)]
-            adaptive = matrix[
-                combo_key(version, on | {"progress_adaptive"})
-            ]
-            assert adaptive.checksum == static.checksum, (version, on)
-            assert adaptive.progress_polls <= static.progress_polls, (
-                version,
-                on,
-            )
-            assert static.progress_poll_skips == 0, (version, on)
-
-    def test_wait_hints_inert_without_targeted_waits(self, matrix):
-        for version, on in combos(without=("wait_hints",)):
-            base = matrix[combo_key(version, on)]
-            hinted = matrix[combo_key(version, on | {"wait_hints"})]
-            assert hinted.checksum == base.checksum, (version, on)
-            # barriers publish non-targeting targets; nothing in the agg
-            # workload blocks on a future, so no targeted flush may fire
-            assert hinted.agg_stats.wait_flushes == 0, (version, on)
-            if not {"am_aggregation", "agg_adaptive"} <= on:
-                # the aged near-full ride-along needs an active age bound;
-                # without one every hinted code path is dead
-                assert hinted.solve_ns == base.solve_ns, (version, on)
-                assert hinted.am_injects == base.am_injects, (version, on)
-
 
 # Scheduler-mechanism axes: ``sched_wake_list`` and ``cost_batching`` are
 # pure implementation strategies — toggling either must be bit-identical
 # on *every* observable (timing included), unlike the semantic axes above
-# where only checksums are pinned.  Swept against a smaller base matrix
-# (the three flags that most reshape scheduling/progress behavior) to
-# keep the run count reasonable.
+# where only checksums are pinned.  Swept against the flag that most
+# reshapes scheduling/progress behavior.
 MECH_BASE_AXES = (
     "am_aggregation",
-    "progress_adaptive",
-    "wait_hints",
 )
 
 
@@ -233,7 +195,7 @@ class TestMechanismFlagsBitIdentical:
 
 
 # The ``cx_continuations`` axis: the flag *gates* two new completion
-# kinds (continuations, counters — DESIGN.md §13) but must be perfectly
+# kinds (continuations, counters — DESIGN.md §11) but must be perfectly
 # inert for workloads that do not request them — bit-identical on every
 # observable, timing included, like the mechanism flags above.  For a
 # workload that *does* use them (the ``cont`` GUPS variant), the
@@ -242,7 +204,6 @@ class TestMechanismFlagsBitIdentical:
 # no future/promise cells are allocated for the tracked updates.
 CX_BASE_AXES = (
     "am_aggregation",
-    "progress_adaptive",
 )
 
 CX_CFG = GupsConfig(
@@ -334,3 +295,71 @@ class TestCxContinuationsDimension:
         assert res.matches_oracle
         modes = {m for (m, _loc) in res.obs_stats.gaps if m != "none"}
         assert modes == {"eager"}, modes
+
+
+# The whole flag space: a Hypothesis property over all 15 fields.  Each
+# draw mixes the seven build booleans freely (not just the three named
+# builds), may set a threshold below 1, and runs any GUPS variant on a
+# one-node smp world or a two-node ibv/udp world.  A draw is either
+# rejected at construction with an error naming the bad field, or it
+# runs to completion within the HPCC tolerance.
+BUILD_FIELDS = (
+    "eager_notification",
+    "eager_factories_available",
+    "elide_local_rma_alloc",
+    "constexpr_is_local_smp",
+    "ready_future_shared_cell",
+    "when_all_shortcuts",
+    "nonvalue_fetching_atomics",
+)
+SWITCH_FIELDS = (
+    "am_aggregation",
+    "obs_spans",
+    "sched_wake_list",
+    "cost_batching",
+    "cx_continuations",
+)
+#: integer knobs validated to be >= 1 at construction
+THRESHOLD_FIELDS = ("agg_max_entries", "agg_max_bytes", "obs_span_capacity")
+
+TOPOLOGIES = (("smp", 1), ("ibv", 2), ("udp", 2))
+
+
+@st.composite
+def flag_fields(draw):
+    kw = {name: draw(st.booleans()) for name in BUILD_FIELDS + SWITCH_FIELDS}
+    for name in THRESHOLD_FIELDS:
+        kw[name] = draw(st.integers(-2, 64))
+    return kw
+
+
+class TestFlagSpaceProperty:
+    def test_draws_cover_every_field(self):
+        drawn = BUILD_FIELDS + SWITCH_FIELDS + THRESHOLD_FIELDS
+        names = [f.name for f in dataclasses.fields(FeatureFlags)]
+        assert sorted(drawn) == sorted(names)
+        assert len(names) == 15
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kw=flag_fields(),
+        variant=st.sampled_from(GUPS_VARIANTS),
+        topology=st.sampled_from(TOPOLOGIES),
+    )
+    def test_every_draw_is_rejected_or_runs(self, kw, variant, topology):
+        bad = [name for name in THRESHOLD_FIELDS if kw[name] < 1]
+        if bad:
+            with pytest.raises(UpcxxError) as excinfo:
+                FeatureFlags(**kw)
+            assert any(name in str(excinfo.value) for name in bad)
+            return
+        conduit, n_nodes = ("smp", 1) if variant == "raw" else topology
+        res = run_gups(
+            GupsConfig(variant, table_log2=10, updates_per_rank=16, batch=4),
+            ranks=4,
+            n_nodes=n_nodes,
+            conduit=conduit,
+            machine="generic",
+            flags=FeatureFlags(**kw),
+        )
+        assert res.error_fraction <= HPCC_TOLERANCE

@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps.gups import (
     GUPS_VARIANTS,
+    HPCC_TOLERANCE,
     GupsConfig,
     hpcc_next,
     hpcc_stream,
@@ -240,6 +241,23 @@ class TestMultiNodeGups:
         )
         table = np.concatenate([v[2] for v in res.values])
         assert list(table) == list(oracle_table(cfg, 4))
+
+    @pytest.mark.parametrize(
+        "conduit,n_nodes", [("ibv", 2), ("udp", 2), ("mpi", 4)]
+    )
+    @pytest.mark.parametrize("version", ALL_VERSIONS)
+    def test_manual_variant_across_nodes(self, conduit, n_nodes, version):
+        """Manual localization falls back to a waited rget/rput for an
+        off-node target, which must suspend the generator body rather
+        than block inside it."""
+        cfg = GupsConfig(
+            variant="manual", table_log2=9, updates_per_rank=24, batch=8
+        )
+        r = run_gups(
+            cfg, ranks=8, n_nodes=n_nodes, conduit=conduit,
+            version=version, machine="generic",
+        )
+        assert r.error_fraction <= HPCC_TOLERANCE
 
     def test_raw_variant_rejects_multinode(self):
         from repro.apps.gups import _gups_body

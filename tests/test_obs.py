@@ -228,6 +228,18 @@ class TestWorldRollup:
         depth = sd.metrics.histograms["progress.deferred_depth"]
         assert depth.n > 0
 
+    def test_waited_gap_rollup_populated(self):
+        """Every defer put in the body is waited, so the waited-gap
+        rollup sees the same population as the plain gap rollup."""
+        res = spmd_run(
+            _two_rank_put_body, ranks=2, version=VD, flags=obs_flags(VD)
+        )
+        stats = observability_stats(res.world)
+        key = ("defer", "pshm")
+        assert key in stats.waited_gaps
+        assert stats.waited_gaps[key].count == 8
+        assert stats.waited_gaps[key].count == stats.gaps[key].count
+
     def test_gather_rank_snapshots_skips_none(self):
         res = spmd_run(
             _two_rank_put_body, ranks=2, version=VE, flags=obs_flags(VE)

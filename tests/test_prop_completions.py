@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for continuation/counter completions.
 
-Three invariants of the ``cx_continuations`` kinds (DESIGN.md §13):
+Three invariants of the ``cx_continuations`` kinds (DESIGN.md §11):
 
 * **counter conservation** — a :class:`CxCounter` fires its notification
   exactly once, exactly after the Nth member event: never early, never

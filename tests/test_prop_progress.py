@@ -1,22 +1,14 @@
 """Property-based invariants of the progress drain loop.
 
 Randomized engine-level action streams (stdlib ``random`` with fixed
-seeds — reruns are bit-identical) check, for the static engine, the
-adaptive controller, and the hinted mode (adaptive + ``wait_hints``):
+seeds — reruns are bit-identical) check, for the drain-until-quiescent
+engine:
 
 * **termination** — drain-until-quiescent always terminates, including
   thunk chains where callbacks enqueue further thunks;
 * **conservation** — every enqueued thunk is dispatched exactly once:
   at quiescence ``PROGRESS_DISPATCH == PROGRESS_QUEUE_ENQUEUE +
-  LPC_ENQUEUE`` (engine level and world level);
-* **latency** — immediately after any engine activity (enqueue or
-  progress), no queued entry is older than ``progress_max_age_ticks``
-  (adaptive mode; the static engine trivially drains to empty);
-* **targeted removal** (``wait_hints``) — a targeted drain removes
-  exactly the entries resolving the awaited cell, wherever they sit in
-  either queue; survivors keep their relative FIFO order and monotone
-  stamps, the age guarantee still holds right after the poll, and the
-  conservation identity is undisturbed at quiescence.
+  LPC_ENQUEUE`` (engine level and world level).
 """
 
 import random
@@ -26,16 +18,14 @@ import pytest
 from repro import barrier, current_ctx, rput
 from repro.runtime.config import flags_for
 from repro.runtime.runtime import spmd_run
-from repro.runtime.wait_hints import WaitTarget
 from repro.sim.costmodel import CostAction
-from tests.conftest import VD, progress_adaptive_flags
+from tests.conftest import VD
 
 SEEDS = (11, 23, 37)
 
+#: engine configurations under test (one: the static drain loop)
 MODE_FLAGS = {
     "static": lambda: flags_for(VD),
-    "adaptive": lambda: progress_adaptive_flags(),
-    "hinted": lambda: progress_adaptive_flags(wait_hints=True),
 }
 
 
@@ -72,11 +62,6 @@ class EngineModel:
         self.ran = []
         self.chain_budget = 0
 
-    def check_age(self):
-        age = self.eng.oldest_pending_age_ns()
-        max_age = self.ctx.flags.progress_max_age_ticks
-        assert age is None or age < max_age
-
     def _thunk(self, tag):
         def run():
             self.ran.append(tag)
@@ -100,14 +85,10 @@ class EngineModel:
         if roll < 0.5:
             self.chain_budget += 2
             self._enqueue(f"op{i}")
-            if self.ctx.progress_ctl is not None:
-                self.check_age()
         elif roll < 0.7:
             self.ctx.clock.advance(self.rng.uniform(0.0, 900.0))
         else:
             self.ctx.progress()
-            if self.ctx.progress_ctl is not None:
-                self.check_age()
 
 
 @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
@@ -126,8 +107,7 @@ class TestEngineProperties:
         )
 
     def test_thunk_chains_terminate(self, versioned_ctx, mode, seed):
-        """Deep enqueue-from-callback chains still drain to quiescence
-        (the adaptive cap defers but never drops chained work)."""
+        """Deep enqueue-from-callback chains still drain to quiescence."""
         ctx = versioned_ctx(VD, flags=MODE_FLAGS[mode]())
         eng = ctx.progress_engine
         rng = random.Random(seed)
@@ -165,118 +145,6 @@ class TestEngineProperties:
         assert one_run() == one_run()
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-class TestTargetedRemoval:
-    """``wait_hints`` targeted drains: mid-queue removal must not break
-    the invariants the untargeted modes guarantee."""
-
-    N_OPS = 60
-
-    def _fill(self, ctx, rng, n_cells=5):
-        """Random enqueues tagged with random cells (some untagged), with
-        clock advances sprinkled in; returns what was issued."""
-        eng = ctx.progress_engine
-        cells = [object() for _ in range(n_cells)]
-        ran = []
-        for i in range(self.N_OPS):
-            cell = rng.choice(cells) if rng.random() < 0.8 else None
-
-            def thunk(i=i):
-                ran.append(i)
-
-            thunk.tag = i
-            if rng.random() < 0.3:
-                eng.enqueue_lpc(thunk, cell=cell)
-            else:
-                eng.enqueue_deferred(thunk, cell=cell)
-            if rng.random() < 0.4:
-                ctx.clock.advance(rng.uniform(0.0, 40.0))
-        return eng, cells, ran
-
-    @staticmethod
-    def _queued_tags(eng):
-        return {
-            name: [e[1].tag for e in getattr(eng, name)]
-            for name in ("_deferred", "_lpcs")
-        }
-
-    def test_targeted_poll_invariants(self, versioned_ctx, seed):
-        ctx = versioned_ctx(VD, flags=MODE_FLAGS["hinted"]())
-        rng = random.Random(seed)
-        eng, cells, ran = self._fill(ctx, rng)
-        target = rng.choice(cells)
-        pre = self._queued_tags(eng)
-        pre_target = [
-            e[1].tag
-            for name in ("_deferred", "_lpcs")
-            for e in getattr(eng, name)
-            if e[2] is target
-        ]
-        ctx.push_wait_target(WaitTarget(cell=target, op="future"))
-        try:
-            ctx.progress()
-        finally:
-            ctx.pop_wait_target()
-        # the scan ran, and no entry resolving the target survived it
-        assert ctx.costs.count(CostAction.PROGRESS_HINT_SCAN) >= 1
-        for name in ("_deferred", "_lpcs"):
-            assert all(e[2] is not target for e in getattr(eng, name))
-        assert set(pre_target) <= set(ran)
-        # survivors keep their relative FIFO order and monotone stamps
-        for name in ("_deferred", "_lpcs"):
-            queue = getattr(eng, name)
-            stamps = [e[0] for e in queue]
-            assert stamps == sorted(stamps)
-            tags = [e[1].tag for e in queue]
-            assert tags == [t for t in pre[name] if t in set(tags)]
-        # the age guarantee holds right after the targeted poll
-        age = eng.oldest_pending_age_ns()
-        assert age is None or age < ctx.flags.progress_max_age_ticks
-        # conservation + exactly-once at quiescence
-        drain(ctx)
-        assert dispatch_balance(ctx) == 0
-        assert sorted(ran) == list(range(self.N_OPS))
-
-    def test_target_absent_from_queue_is_scan_only(self, versioned_ctx, seed):
-        """Targeting a cell with no queued entries removes nothing: the
-        poll behaves as the plain adaptive drain plus one scan charge."""
-        ctx = versioned_ctx(VD, flags=MODE_FLAGS["hinted"]())
-        rng = random.Random(seed)
-        eng, cells, ran = self._fill(ctx, rng)
-        pre = self._queued_tags(eng)
-        ctx.push_wait_target(WaitTarget(cell=object(), op="future"))
-        try:
-            ctx.progress()
-        finally:
-            ctx.pop_wait_target()
-        assert ctx.costs.count(CostAction.PROGRESS_HINT_SCAN) >= 1
-        # whatever was dispatched came off the FIFO heads, in order
-        for name in ("_deferred", "_lpcs"):
-            tags = [e[1].tag for e in getattr(eng, name)]
-            assert tags == pre[name][len(pre[name]) - len(tags):]
-        drain(ctx)
-        assert dispatch_balance(ctx) == 0
-        assert sorted(ran) == list(range(self.N_OPS))
-
-    def test_targeted_replay_bit_identical(self, versioned_ctx, seed):
-        """Same seed, same target choice -> same dispatch order and same
-        clock, scans included."""
-
-        def one_run():
-            ctx = versioned_ctx(VD, flags=MODE_FLAGS["hinted"]())
-            rng = random.Random(seed)
-            eng, cells, ran = self._fill(ctx, rng)
-            ctx.push_wait_target(WaitTarget(cell=rng.choice(cells)))
-            try:
-                ctx.progress()
-            finally:
-                ctx.pop_wait_target()
-            drain(ctx)
-            return list(ran), ctx.clock.now_ns
-
-        assert one_run() == one_run()
-
-
 def _rput_storm(seed):
     """SPMD body: a random burst of rputs to the right neighbour with
     interleaved progress, then a full drain."""
@@ -308,7 +176,7 @@ def _rput_storm(seed):
 class TestWorldProperties:
     def test_world_level_conservation(self, mode, seed):
         """After a drained SPMD run the dispatch/enqueue identity holds
-        world-wide, in both static and adaptive mode."""
+        world-wide."""
         res = spmd_run(
             lambda: _rput_storm(seed),
             ranks=4,

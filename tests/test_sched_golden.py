@@ -17,7 +17,10 @@ follows is teardown, whose order the original substrate left to the OS.
 
 :data:`APP_CASES` are records of the ported application bodies (DHT,
 matching, serving) and of completion-kind-swapped fuzz runs; the suites
-that own those workloads check them through :func:`assert_golden`.
+that own those workloads check them through :func:`assert_golden`.  The
+swapped runs were re-recorded by the event loop under ``defer`` when the
+adaptive-progress fuzz mode they used to run under was deleted; every
+other record is still the thread-per-rank scheduler's.
 
 Rewrite the file (only for an intended scheduling change) with::
 
@@ -180,8 +183,8 @@ APP_CASES = {
     "matching_gen_4": _matching_case,
     "serve_gen_4": _serve_case,
     **{
-        f"fuzz_sweep{i}_adaptive_{cx}": (
-            lambda s=seed, c=cx: _fuzz_case(s, "adaptive", c)
+        f"fuzz_sweep{i}_defer_{cx}": (
+            lambda s=seed, c=cx: _fuzz_case(s, "defer", c)
         )
         for i, seed in enumerate(FUZZ_SWEEP_PROGRAMS)
         for cx in ("continuation", "counter")

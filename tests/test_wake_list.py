@@ -1,4 +1,4 @@
-"""Wake-list vs predicate-scan differential tests (DESIGN.md §11).
+"""Wake-list vs predicate-scan differential tests (DESIGN.md §9).
 
 ``FeatureFlags.sched_wake_list`` replaces the scheduler's per-switch
 blocked-predicate scan with event-driven wake lists.  The design claim is

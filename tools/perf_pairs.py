@@ -11,7 +11,15 @@ median and quartiles, the per-pair ratios (working tree over base) and
 the wins, then whether the gain rule holds: the working tree wins at
 least nine tenths of the pairs (ties count for neither), and the medians
 differ, in the better direction, by more than the base's quartile
-spread.
+spread.  Last comes the no-regression verdict against the metric's
+``bound`` (a relative change):
+
+* ``regression`` — the working tree's median is worse than the base
+  median by more than the bound;
+* ``unresolved`` — either side's quartile spread (as a share of its
+  median) exceeds the bound, unless every working-tree run beats every
+  base run;
+* ``no regression`` — otherwise.
 
 Usage (from anywhere inside the repository)::
 
@@ -62,6 +70,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
+def spread(values: list[float]) -> float:
+    """Distance between the quartiles as a share of the median."""
+    q1, med, q3 = quartiles(values)
+    return (q3 - q1) / med if med else 0.0
+
+
+def verdict(base: list[float], change: list[float], better: str,
+            bound: float) -> str:
+    """The no-regression verdict for one metric (see the module doc)."""
+    sign = 1 if better == "higher" else -1
+    if spread(base) > bound or spread(change) > bound:
+        if all(sign * (c - b) > 0 for b in base for c in change):
+            return "no regression"
+        return "unresolved"
+    base_med, change_med = quartiles(base)[1], quartiles(change)[1]
+    if not base_med:
+        return "no regression" if sign * change_med >= 0 else "regression"
+    worse = sign * (base_med - change_med) / abs(base_med)
+    return "regression" if worse > bound else "no regression"
+
+
 def judge(base: list[float], change: list[float], better: str) -> dict:
     """Per-pair ratios, wins and the gain rule for one metric."""
     sign = 1 if better == "higher" else -1
@@ -95,6 +124,9 @@ def report(results: dict, spec: dict) -> None:
         print(f"  median ratio {j['median_ratio']:.3f}, working tree wins "
               f"{j['wins']}/{len(base)}; gain rule "
               f"{'holds' if j['gain'] else 'does not hold'}")
+        bound = metric["bound"]
+        print(f"  spreads {spread(base):.1%} / {spread(change):.1%}, bound "
+              f"{bound:.0%}: {verdict(base, change, better, bound)}")
 
 
 def main(argv=None) -> int:

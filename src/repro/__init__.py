@@ -44,12 +44,9 @@ from repro.core import (
     when_all,
 )
 from repro.errors import UpcxxError
-from repro.gasnet.team import Team
 from repro.memory.global_ptr import GlobalPtr, LocalRef
 from repro.memory.segment import TypeSpec, type_spec
-from repro.coll import barrier_async, broadcast, reduce_all, reduce_one
 from repro.rma import (
-    copy,
     rget,
     rget_bulk,
     rget_indexed,
@@ -64,14 +61,6 @@ from repro.rpc import rpc, rpc_ff
 from repro.runtime import RuntimeConfig, SpmdResult, Version, spmd_run
 from repro.runtime.config import FeatureFlags, flags_for
 from repro.runtime.context import current_ctx, current_ctx_or_none
-from repro.runtime.dist import DistObject
-from repro.runtime.persona import (
-    Persona,
-    current_persona,
-    lpc,
-    master_persona,
-    persona_scope,
-)
 from repro.sim.machines import GENERIC, IBM, INTEL, MARVELL, profile_by_name
 
 __version__ = "1.0.0"
@@ -80,7 +69,7 @@ __all__ = [
     # runtime / world
     "spmd_run", "SpmdResult", "Version", "RuntimeConfig", "FeatureFlags",
     "flags_for", "rank_me", "rank_n", "barrier", "barrier_gen", "progress",
-    "world_team", "local_team", "current_ctx", "current_ctx_or_none",
+    "current_ctx", "current_ctx_or_none",
     # memory
     "GlobalPtr", "LocalRef", "TypeSpec", "type_spec",
     "new_", "new_array", "delete_",
@@ -89,15 +78,11 @@ __all__ = [
     "Completions", "CxCounter", "Event",
     "operation_cx", "source_cx", "remote_cx",
     # communication
-    "rput", "rput_bulk", "rget", "rget_into", "rget_bulk", "copy",
+    "rput", "rput_bulk", "rget", "rget_into", "rget_bulk",
     "rput_strided", "rget_strided", "rput_indexed", "rget_indexed",
     "AtomicDomain", "AMO_OPS", "rpc", "rpc_ff",
-    # collectives / distributed objects
-    "broadcast", "reduce_one", "reduce_all", "barrier_async", "DistObject",
-    # personas
-    "Persona", "master_persona", "current_persona", "persona_scope", "lpc",
-    # teams / profiles
-    "Team", "INTEL", "IBM", "MARVELL", "GENERIC", "profile_by_name",
+    # machine profiles / errors
+    "INTEL", "IBM", "MARVELL", "GENERIC", "profile_by_name",
     "UpcxxError",
 ]
 
@@ -133,17 +118,6 @@ def barrier_gen():
 def progress() -> None:
     """Invoke the progress engine (``upcxx::progress``)."""
     current_ctx().progress()
-
-
-def world_team() -> Team:
-    """The team of all ranks."""
-    return current_ctx().world.world_team()
-
-
-def local_team() -> Team:
-    """The team of ranks co-located on the caller's node (PSHM peers)."""
-    ctx = current_ctx()
-    return ctx.world.local_team(ctx)
 
 
 # ---------------------------------------------------------------------------

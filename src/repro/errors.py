@@ -73,11 +73,6 @@ class SchedulerError(UpcxxError):
     while another rank is runnable)."""
 
 
-class ProgressError(UpcxxError):
-    """Illegal reentrant progress (progress from within a callback running
-    inside the progress engine), mirroring UPC++'s prohibition."""
-
-
 class RpcError(UpcxxError):
     """An RPC callback raised; the exception is propagated to the initiator
     wrapped in this type (the real runtime would abort the job)."""

@@ -11,26 +11,18 @@ package provides the same structure:
 * :mod:`repro.gasnet.am` — the active-message queues;
 * :mod:`repro.gasnet.aggregator` — destination-batched coalescing of
   small off-node AMs into bundled messages (flush policies, the
-  completion-semantics gate);
-* :mod:`repro.gasnet.events` — ``gex_Event``-style handles reporting
-  whether the underlying operation completed synchronously (the dynamic
-  information eager notification keys off, §III-A);
-* :mod:`repro.gasnet.team` — teams (world / local).
+  completion-semantics gate).
 """
 
-from repro.gasnet.events import GexEvent
 from repro.gasnet.am import ActiveMessage
 from repro.gasnet.aggregator import AggregatorSnapshot, AmAggregator
 from repro.gasnet.conduit import Conduit, make_conduit, CONDUIT_NAMES
-from repro.gasnet.team import Team
 
 __all__ = [
-    "GexEvent",
     "ActiveMessage",
     "AggregatorSnapshot",
     "AmAggregator",
     "Conduit",
     "make_conduit",
     "CONDUIT_NAMES",
-    "Team",
 ]

@@ -1,7 +1,7 @@
 """Operation-lifecycle spans.
 
-Every asynchronous operation — RMA put/get/copy/vis, atomics, rpc, and
-collectives — opens an :class:`OpSpan` at initiation and stamps virtual
+Every asynchronous operation — RMA put/get/vis, atomics, rpc, and
+barrier — opens an :class:`OpSpan` at initiation and stamps virtual
 timestamps as it moves through its lifecycle:
 
 ``t_init``

@@ -1,5 +1,5 @@
 """Remote memory access operations: ``rput``, ``rget`` (value and
-into-buffer forms), bulk transfers, and ``copy``.
+into-buffer forms), bulk transfers, and strided/indexed (VIS) transfers.
 
 Every operation follows the same shape (the paper's §III-A):
 
@@ -14,7 +14,6 @@ Every operation follows the same shape (the paper's §III-A):
 
 from repro.rma.put import rput, rput_bulk
 from repro.rma.get import rget, rget_bulk, rget_into
-from repro.rma.copy import copy
 from repro.rma.vis import (
     rget_indexed,
     rget_strided,
@@ -28,7 +27,6 @@ __all__ = [
     "rget",
     "rget_into",
     "rget_bulk",
-    "copy",
     "rput_strided",
     "rget_strided",
     "rput_indexed",

@@ -39,7 +39,7 @@ Thunk = Callable[[], None]
 class ProgressEngine:
     """Per-rank progress queues and the drain loop."""
 
-    __slots__ = ("_ctx", "_deferred", "_lpcs", "_in_progress", "_pollers")
+    __slots__ = ("_ctx", "_deferred", "_lpcs", "_in_progress")
 
     def __init__(self, ctx: "RankContext"):
         self._ctx = ctx
@@ -47,9 +47,6 @@ class ProgressEngine:
         self._deferred: deque[Thunk] = deque()
         self._lpcs: deque[Thunk] = deque()
         self._in_progress = False
-        #: callables polled on every progress call (the conduit registers
-        #: its AM-delivery poll here); each returns True if it did work.
-        self._pollers: list[Callable[[], bool]] = []
 
     # -- enqueue ----------------------------------------------------------
 
@@ -62,10 +59,6 @@ class ProgressEngine:
         """Queue a local procedure call for the next progress call."""
         self._ctx.charge(_LPC_ENQUEUE)
         self._lpcs.append(thunk)
-
-    def register_poller(self, poll: Callable[[], bool]) -> None:
-        """Register a poll hook (e.g. conduit AM delivery)."""
-        self._pollers.append(poll)
 
     # -- queries -----------------------------------------------------------
 
@@ -111,9 +104,8 @@ class ProgressEngine:
             # which drive their waits through this method)
             if ctx.flush_aggregation(reason="progress_entry"):
                 did_work = True
-            for poll in self._pollers:
-                if poll():
-                    did_work = True
+            if ctx.conduit.poll(ctx):
+                did_work = True
             while self._deferred or self._lpcs:
                 while self._deferred:
                     thunk = self._deferred.popleft()
@@ -128,9 +120,8 @@ class ProgressEngine:
                     did_work = True
                     dispatched += 1
                 # callbacks may have triggered AM sends back to ourselves
-                for poll in self._pollers:
-                    if poll():
-                        did_work = True
+                if ctx.conduit.poll(ctx):
+                    did_work = True
             # handlers run during the drain may have buffered new
             # aggregatable AMs; flush before returning so nothing is
             # stranded while this rank blocks (e.g. inside a barrier)

@@ -32,7 +32,6 @@ from repro.core.cell import PromiseCell
 from repro.errors import UpcxxError
 from repro.gasnet.aggregator import AmAggregator
 from repro.gasnet.conduit import Conduit, make_conduit
-from repro.gasnet.team import Team
 from repro.memory.allocator import SharedAllocator
 from repro.memory.segment import Segment
 from repro.obs import ObsState
@@ -86,9 +85,6 @@ class World:
                 ctx.am_agg = AmAggregator(ctx)
             if ctx.flags.obs_spans:
                 ctx.obs = ObsState(ctx)
-            ctx.progress_engine.register_poller(
-                lambda c=ctx: self.conduit.poll(c)
-            )
 
         #: total rank-to-rank switches the driving scheduler performed
         #: (filled in by spmd_run after the job completes)
@@ -190,17 +186,6 @@ class World:
 
     def segment_of(self, rank: int) -> Segment:
         return self.segments[rank]
-
-    # -- teams --------------------------------------------------------------
-
-    def world_team(self) -> Team:
-        return Team(range(self.size))
-
-    def local_team(self, ctx: RankContext) -> Team:
-        node = self.node_of(ctx.rank)
-        return Team(
-            [r for r in range(self.size) if self.node_of(r) == node]
-        )
 
     # -- barrier -------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Unit tests for conduits, active messages, and teams."""
+"""Unit tests for conduits and active messages."""
 
 import pytest
 
@@ -9,11 +9,9 @@ from repro.gasnet.conduit import (
     CONDUIT_NAMES,
     make_conduit,
 )
-from repro.gasnet.team import Team
 from repro.memory.global_ptr import GlobalPtr
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.context import current_ctx
-from repro.runtime.runtime import build_world, spmd_run
+from repro.runtime.runtime import build_world
 
 
 def two_rank_world(conduit="smp", n_nodes=1):
@@ -192,66 +190,3 @@ class TestAmDelivery:
         w.contexts[1].progress()
         assert seen == [1]
 
-
-class TestTeam:
-    def test_translation(self):
-        t = Team([3, 5, 9])
-        assert t.rank_n() == 3
-        assert t.to_world(1) == 5
-        assert t.from_world(9) == 2
-
-    def test_contains(self):
-        t = Team([0, 2])
-        assert t.contains(2) and not t.contains(1)
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(UpcxxError):
-            Team([1, 1])
-
-    def test_empty_rejected(self):
-        with pytest.raises(UpcxxError):
-            Team([])
-
-    def test_out_of_range_translation(self):
-        t = Team([0, 1])
-        with pytest.raises(UpcxxError):
-            t.to_world(2)
-        with pytest.raises(UpcxxError):
-            t.from_world(5)
-
-    def test_split_by(self):
-        t = Team(range(6))
-        mapping = {r: (r % 2, r) for r in range(6)}
-        evens = t.split_by(mapping, 0)
-        odds = t.split_by(mapping, 1)
-        assert evens.world_ranks() == (0, 2, 4)
-        assert odds.world_ranks() == (1, 3, 5)
-
-    def test_split_key_orders(self):
-        t = Team(range(4))
-        mapping = {0: (0, 9), 1: (0, 1), 2: (0, 5), 3: (1, 0)}
-        sub = t.split_by(mapping, 0)
-        assert sub.world_ranks() == (1, 2, 0)
-
-    def test_split_missing_caller_rejected(self):
-        t = Team(range(2))
-        with pytest.raises(UpcxxError):
-            t.split_by({0: (0, 0)}, 1)
-
-    def test_split_method_unsupported(self):
-        t = Team(range(2))
-        with pytest.raises(NotImplementedError):
-            t.split(0, 0, None)
-
-    def test_rank_me_requires_membership(self):
-        def body():
-            t = Team([0])
-            ctx = current_ctx()
-            if ctx.rank == 0:
-                return t.rank_me(ctx)
-            with pytest.raises(UpcxxError):
-                t.rank_me(ctx)
-            return -1
-
-        res = spmd_run(body, ranks=2)
-        assert res.values == [0, -1]

@@ -21,7 +21,6 @@ class TestHierarchy:
             errors.SerializationError,
             errors.DeadlockError,
             errors.SchedulerError,
-            errors.ProgressError,
             errors.RpcError,
         ],
     )

@@ -82,9 +82,3 @@ class TestCosts:
         ctx.progress()
         assert ctx.costs.count(CostAction.PROGRESS_POLL) == p0 + 1
         assert ctx.costs.count(CostAction.PROGRESS_DISPATCH) == d0 + 1
-
-    def test_poller_registration(self, ctx):
-        polled = []
-        ctx.progress_engine.register_poller(lambda: polled.append(1) or False)
-        ctx.progress()
-        assert polled == [1]

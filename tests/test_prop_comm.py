@@ -1,7 +1,4 @@
-"""Property-based tests for VIS RMA and collectives."""
-
-import functools
-import operator
+"""Property-based tests for VIS RMA."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,9 +11,7 @@ from repro import (
     rput_indexed,
     rput_strided,
 )
-from repro.coll.collectives import REDUCTION_OPS
 from repro.runtime.context import reset_ambient_ctx
-from repro.runtime.runtime import spmd_run
 
 u64 = st.integers(0, (1 << 64) - 1)
 
@@ -60,61 +55,3 @@ class TestVisProperties:
         got = rget_indexed(g, idx).wait()
         assert [int(x) for x in got] == [int(model[i]) for i in idx]
 
-
-class TestCollectiveProperties:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        values=st.lists(
-            st.integers(-(10**6), 10**6), min_size=2, max_size=5
-        ),
-        op_name=st.sampled_from(sorted(REDUCTION_OPS)),
-    )
-    def test_reduce_all_equals_functools_reduce(self, values, op_name):
-        if op_name in ("bit_and", "bit_or", "bit_xor"):
-            values = [abs(v) for v in values]
-        ranks = len(values)
-
-        def body():
-            from repro import rank_me, reduce_all
-
-            return reduce_all(values[rank_me()], op_name).wait()
-
-        res = spmd_run(body, ranks=ranks)
-        expected = functools.reduce(REDUCTION_OPS[op_name], values)
-        assert res.values == [expected] * ranks
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        payload=st.one_of(
-            st.integers(),
-            st.text(max_size=20),
-            st.lists(st.integers(), max_size=5),
-            st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
-        ),
-        root=st.integers(0, 2),
-    )
-    def test_broadcast_delivers_exact_payload(self, payload, root):
-        def body():
-            from repro import broadcast, rank_me
-
-            v = payload if rank_me() == root else None
-            return broadcast(v, root).wait()
-
-        res = spmd_run(body, ranks=3)
-        assert res.values == [payload] * 3
-
-    @settings(max_examples=10, deadline=None)
-    @given(n_rounds=st.integers(1, 5))
-    def test_repeated_collectives_stay_matched(self, n_rounds):
-        def body():
-            from repro import rank_me, reduce_all
-
-            out = []
-            for i in range(n_rounds):
-                out.append(reduce_all(rank_me() + i, "add").wait())
-            return out
-
-        ranks = 3
-        res = spmd_run(body, ranks=ranks)
-        expected = [sum(range(ranks)) + ranks * i for i in range(n_rounds)]
-        assert all(v == expected for v in res.values)

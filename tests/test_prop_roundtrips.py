@@ -1,17 +1,11 @@
 """Property-based round-trip tests across serialization boundaries:
-Matrix Market I/O, mailbox message packing, and the distributed stencil
-vs its serial oracle."""
+mailbox message packing, and the distributed stencil vs its serial
+oracle."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.graphs import Graph, edge_weight
-from repro.apps.matching import (
-    pack_msg,
-    serial_matching,
-    unpack_msg,
-)
-from repro.apps.mtx import load_mtx, save_mtx
+from repro.apps.matching import pack_msg, unpack_msg
 from repro.apps.stencil import StencilConfig, run_stencil
 
 
@@ -50,39 +44,6 @@ class TestMessagePackingProperties:
     )
     def test_packed_word_fits_u64(self, kind, a, b):
         assert 0 <= pack_msg(kind, a, b) < (1 << 64)
-
-
-class TestMtxRoundtripProperties:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        n=st.integers(3, 40),
-        edges=st.lists(
-            st.tuples(st.integers(0, 500), st.integers(0, 500)),
-            max_size=80,
-        ),
-    )
-    def test_arbitrary_graph_roundtrips(self, tmp_path_factory, n, edges):
-        adj = [[] for _ in range(n)]
-        seen = set()
-        for u, v in edges:
-            u, v = u % n, v % n
-            if u == v:
-                continue
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                continue
-            seen.add(key)
-            w = edge_weight(*key)
-            adj[key[0]].append((key[1], w))
-            adj[key[1]].append((key[0], w))
-        g = Graph("hyp", n, adj)
-        path = tmp_path_factory.mktemp("mtx") / "g.mtx"
-        save_mtx(g, path)
-        g2 = load_mtx(path)
-        g2.validate()
-        assert g2.n == g.n and g2.n_edges == g.n_edges
-        # weights survive well enough to preserve the unique matching
-        assert serial_matching(g2) == serial_matching(g)
 
 
 class TestStencilProperties:

@@ -10,7 +10,6 @@ import pytest
 
 from repro import (
     Promise,
-    copy,
     new_,
     new_array,
     operation_cx,
@@ -82,14 +81,6 @@ class TestBulkOps:
         rget_into(src, dst, 6).wait()
         assert list(dst.local().view(6)) == [3] * 6
 
-    def test_copy_local(self, versioned_ctx, version):
-        versioned_ctx(version)
-        src = new_array("i64", 5)
-        dst = new_array("i64", 5)
-        rput_bulk([1, 2, 3, 4, 5], src).wait()
-        copy(src, dst, 5).wait()
-        assert list(dst.local().view(5)) == [1, 2, 3, 4, 5]
-
 
 class TestValidation:
     def test_null_put(self, ctx):
@@ -106,12 +97,6 @@ class TestValidation:
             rget_into(g, new_("u64"), 0)
         with pytest.raises(ValueError):
             rget_bulk(g, 0)
-
-    def test_copy_type_mismatch(self, ctx):
-        a = new_("u64")
-        b = new_("i64")
-        with pytest.raises(InvalidGlobalPointer):
-            copy(a, b, 1)
 
     def test_put_2d_rejected(self, ctx):
         g = new_array("u64", 4)

@@ -1,8 +1,8 @@
-"""Integration tests for worlds, barriers, teams, and configuration."""
+"""Integration tests for worlds, barriers, and configuration."""
 
 import pytest
 
-from repro import barrier, local_team, rank_me, world_team
+from repro import barrier, rank_me
 from repro.errors import UpcxxError
 from repro.runtime.config import (
     FeatureFlags,
@@ -136,31 +136,6 @@ class TestBarrier:
             return "ok"
 
         assert spmd_run(body, ranks=1).values == ["ok"]
-
-
-class TestTeams:
-    def test_world_team_spans_all(self):
-        def body():
-            t = world_team()
-            return (t.rank_n(), t.rank_me(current_ctx()))
-
-        res = spmd_run(body, ranks=3)
-        assert res.values == [(3, 0), (3, 1), (3, 2)]
-
-    def test_local_team_single_node(self):
-        def body():
-            return local_team().rank_n()
-
-        assert spmd_run(body, ranks=4).values == [4] * 4
-
-    def test_local_team_two_nodes(self):
-        def body():
-            t = local_team()
-            return (t.rank_n(), t.world_ranks())
-
-        res = spmd_run(body, ranks=4, n_nodes=2, conduit="udp")
-        assert res.values[0] == (2, (0, 1))
-        assert res.values[3] == (2, (2, 3))
 
 
 class TestMeasurement:

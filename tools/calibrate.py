@@ -57,7 +57,7 @@ def gups(machine, ranks=16, upd=96):
     print(
         f"[{machine}] gups: rma_promise +{rp:.0f}%  amo_promise +{ap:.1f}%  "
         f"rma_future {rf:.1f}x  amo_future {af:.1f}x  "
-        f"rma_prom_eager slower than manual by {-man_gap:.0f}%  "
+        f"rma_prom_eager slower than manual by {man_gap:+.0f}%  "
         f"raw<=manual {raw_ok}  amoF/amoP eager {amo_cross:.2f}"
     )
     return g

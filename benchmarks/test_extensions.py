@@ -160,9 +160,7 @@ def _agg_grid(variant, s, agg_states=(False, True)):
     grid = {}
     for v in (VD, VE):
         for agg in agg_states:
-            fl = flags_for(v).replace(
-                am_aggregation=agg, agg_max_entries=32
-            )
+            fl = flags_for(v).replace(am_aggregation=agg)
             r = run_gups(
                 cfg,
                 ranks=8,

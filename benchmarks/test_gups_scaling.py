@@ -111,9 +111,7 @@ def test_gups_offnode_batching_crossover(benchmark, figure_dir):
         )
         cells = {}
         for mode, agg_on in (("off", False), ("static", True)):
-            fl = flags_for(VE).replace(
-                am_aggregation=agg_on, agg_max_entries=32
-            )
+            fl = flags_for(VE).replace(am_aggregation=agg_on)
             r = run_gups(
                 acfg, ranks=ranks, n_nodes=n_nodes, version=VE,
                 machine="intel", conduit="ibv", flags=fl,

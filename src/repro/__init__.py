@@ -46,17 +46,7 @@ from repro.core import (
 from repro.errors import UpcxxError
 from repro.memory.global_ptr import GlobalPtr, LocalRef
 from repro.memory.segment import TypeSpec, type_spec
-from repro.rma import (
-    rget,
-    rget_bulk,
-    rget_indexed,
-    rget_into,
-    rget_strided,
-    rput,
-    rput_bulk,
-    rput_indexed,
-    rput_strided,
-)
+from repro.rma import rget, rget_bulk, rget_into, rput, rput_bulk
 from repro.rpc import rpc, rpc_ff
 from repro.runtime import RuntimeConfig, SpmdResult, Version, spmd_run
 from repro.runtime.config import FeatureFlags, flags_for
@@ -79,7 +69,6 @@ __all__ = [
     "operation_cx", "source_cx", "remote_cx",
     # communication
     "rput", "rput_bulk", "rget", "rget_into", "rget_bulk",
-    "rput_strided", "rget_strided", "rput_indexed", "rget_indexed",
     "AtomicDomain", "AMO_OPS", "rpc", "rpc_ff",
     # machine profiles / errors
     "INTEL", "IBM", "MARVELL", "GENERIC", "profile_by_name",

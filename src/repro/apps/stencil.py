@@ -2,13 +2,13 @@
 control for eager notification.
 
 Each rank owns a contiguous block of a 1-D rod; every iteration it
-exchanges one-element halos with its neighbours via ``rput`` (fine-
-grained) or a bulk ghost-region put (coarse-grained), then applies the
-three-point Jacobi update.  Because the computation per iteration is
-O(block) while the communication is O(1) operations, the *relative*
-benefit of eager notification shrinks as blocks grow — the complementary
-regime to GUPS, matching the paper's framing that deferral overheads
-matter for workloads dominated by fine-grained on-node operations.
+exchanges one-element halos with its neighbours via ``rput``, then
+applies the three-point Jacobi update.  Because the computation per
+iteration is O(block) while the communication is O(1) operations, the
+*relative* benefit of eager notification shrinks as blocks grow — the
+complementary regime to GUPS, matching the paper's framing that deferral
+overheads matter for workloads dominated by fine-grained on-node
+operations.
 
 Correctness oracle: the distributed iteration must reproduce a serial
 numpy Jacobi sweep bit-for-bit (same operation order within each cell).

@@ -55,15 +55,6 @@ _INT_ONLY = {"bit_and", "bit_or", "bit_xor",
              "fetch_bit_and", "fetch_bit_or", "fetch_bit_xor"}
 
 
-def _mask_for(ts: TypeSpec) -> Optional[int]:
-    """Wraparound mask for integer types (None for floats)."""
-    if ts.dtype.kind == "u":
-        return (1 << (8 * ts.size)) - 1
-    if ts.dtype.kind == "i":
-        return None  # handled via two's-complement wrap below
-    return None
-
-
 def _wrap_signed(value: int, bits: int) -> int:
     value &= (1 << bits) - 1
     if value >= 1 << (bits - 1):

@@ -24,8 +24,8 @@ This module implements that layer for the simulated conduit:
 
 Flush policies (any of which closes a bundle):
 
-1. **entry-count threshold** — ``flags.agg_max_entries`` entries buffered;
-2. **byte threshold** — ``flags.agg_max_bytes`` payload bytes buffered;
+1. **entry-count threshold** — :data:`MAX_ENTRIES` entries buffered;
+2. **byte threshold** — :data:`MAX_BYTES` payload bytes buffered;
 3. **explicit** — :meth:`AmAggregator.flush` / :meth:`flush_all`;
 4. **progress entry/exit** — the progress engine flushes all buffers when
    it is entered (so ``progress()``, ``barrier()`` and ``future.wait()``
@@ -75,6 +75,10 @@ if TYPE_CHECKING:  # pragma: no cover
 BUNDLE_HEADER_BYTES = 32
 #: Modeled per-entry framing inside a bundle (handler id + length field).
 ENTRY_HEADER_BYTES = 8
+#: Auto-flush thresholds: a destination buffer flushes when it holds this
+#: many entries or this many payload bytes.
+MAX_ENTRIES = 32
+MAX_BYTES = 4096
 
 
 @dataclass
@@ -155,8 +159,7 @@ class AmAggregator:
     Owned by a :class:`~repro.runtime.context.RankContext` (created by the
     world wiring only when ``flags.am_aggregation`` is set, so the default
     configuration has literally zero aggregation code on any path).
-    Thresholds come from the context's feature flags, validated at
-    :class:`~repro.runtime.config.FeatureFlags` construction.
+    Thresholds start at :data:`MAX_ENTRIES` and :data:`MAX_BYTES`.
     """
 
     __slots__ = (
@@ -166,10 +169,9 @@ class AmAggregator:
     )
 
     def __init__(self, ctx: "RankContext"):
-        flags = ctx.flags
         self._ctx = ctx
-        self.max_entries = flags.agg_max_entries
-        self.max_bytes = flags.agg_max_bytes
+        self.max_entries = MAX_ENTRIES
+        self.max_bytes = MAX_BYTES
         self._buffers: dict[int, DestinationBuffer] = {}
         # -- stats ----------------------------------------------------------
         self.appended = 0

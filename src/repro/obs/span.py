@@ -1,6 +1,6 @@
 """Operation-lifecycle spans.
 
-Every asynchronous operation — RMA put/get/vis, atomics, rpc, and
+Every asynchronous operation — RMA put/get, atomics, rpc, and
 barrier — opens an :class:`OpSpan` at initiation and stamps virtual
 timestamps as it moves through its lifecycle:
 
@@ -51,6 +51,10 @@ from repro.obs.request import RequestRecorder, RequestSpan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.context import RankContext
+
+#: Spans (and request spans) retained per rank; later ones are counted as
+#: dropped but still stamped.
+SPAN_CAPACITY = 65536
 
 
 @dataclass
@@ -290,10 +294,8 @@ class ObsState:
 
     def __init__(self, ctx: "RankContext"):
         self.ctx = ctx
-        self.spans = SpanRecorder(ctx.rank, ctx.flags.obs_span_capacity)
-        self.requests = RequestRecorder(
-            ctx.rank, ctx.flags.obs_span_capacity
-        )
+        self.spans = SpanRecorder(ctx.rank, SPAN_CAPACITY)
+        self.requests = RequestRecorder(ctx.rank, SPAN_CAPACITY)
         self.metrics = MetricsRegistry()
         self.depth_samples: list[tuple[float, int]] = []
         self.depth_samples_dropped = 0

@@ -1,5 +1,5 @@
 """Remote memory access operations: ``rput``, ``rget`` (value and
-into-buffer forms), bulk transfers, and strided/indexed (VIS) transfers.
+into-buffer forms) and bulk transfers.
 
 Every operation follows the same shape (the paper's §III-A):
 
@@ -14,12 +14,6 @@ Every operation follows the same shape (the paper's §III-A):
 
 from repro.rma.put import rput, rput_bulk
 from repro.rma.get import rget, rget_bulk, rget_into
-from repro.rma.vis import (
-    rget_indexed,
-    rget_strided,
-    rput_indexed,
-    rput_strided,
-)
 
 __all__ = [
     "rput",
@@ -27,8 +21,4 @@ __all__ = [
     "rget",
     "rget_into",
     "rget_bulk",
-    "rput_strided",
-    "rget_strided",
-    "rput_indexed",
-    "rget_indexed",
 ]

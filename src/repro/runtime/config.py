@@ -24,8 +24,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, fields, replace
 
-from repro.errors import UpcxxError
-
 
 class Version(enum.Enum):
     """The three UPC++ builds compared in the paper."""
@@ -73,10 +71,6 @@ class FeatureFlags:
         every build: it is an extension beyond the paper, orthogonal to
         eager/deferred notification, and with it off the runtime behaves
         bit-identically to the seed.
-    agg_max_entries / agg_max_bytes:
-        Aggregator auto-flush thresholds: a destination buffer flushes
-        when it holds this many entries or payload bytes (only consulted
-        when ``am_aggregation`` is on).
     obs_spans:
         Operation-lifecycle observability (see :mod:`repro.obs`): every
         asynchronous operation records a span with phase timestamps
@@ -86,10 +80,6 @@ class FeatureFlags:
         recording charges no cost-model actions, so virtual timings are
         identical either way, and with the flag off ``RankContext.obs``
         stays ``None`` (one attribute check per site — zero cost).
-    obs_span_capacity:
-        Maximum spans retained per rank; later spans are counted as
-        dropped but still stamped (only consulted when ``obs_spans`` is
-        on).
     sched_wake_list:
         Event-driven wake lists in the scheduler core:
         a blocking construct that names its wake event (cell readiness,
@@ -139,36 +129,10 @@ class FeatureFlags:
     when_all_shortcuts: bool
     nonvalue_fetching_atomics: bool
     am_aggregation: bool = False
-    agg_max_entries: int = 32
-    agg_max_bytes: int = 4096
     obs_spans: bool = False
-    obs_span_capacity: int = 65536
     sched_wake_list: bool = True
     cost_batching: bool = True
     cx_continuations: bool = False
-
-    def __post_init__(self):
-        """Reject unusable aggregation knobs at construction.
-
-        A zero/negative threshold would make a destination buffer never
-        flush on its own — with the old aggregator-side check this was
-        only caught when a world with ``am_aggregation`` was built, and
-        not at all for flag values constructed but consumed later.  The
-        knobs are validated here, at the single choke point every
-        configuration passes through.
-        """
-        if self.agg_max_entries < 1:
-            raise UpcxxError(
-                f"agg_max_entries must be >= 1, got {self.agg_max_entries}"
-            )
-        if self.agg_max_bytes < 1:
-            raise UpcxxError(
-                f"agg_max_bytes must be >= 1, got {self.agg_max_bytes}"
-            )
-        if self.obs_span_capacity < 1:
-            raise UpcxxError(
-                f"obs_span_capacity must be >= 1, got {self.obs_span_capacity}"
-            )
 
     def replace(self, **kw) -> "FeatureFlags":
         """A copy with the given flags overridden (ablation support)."""

@@ -1,11 +1,10 @@
-"""AM aggregation knobs, flush timing, statistics and wait flushing.
+"""AM aggregation flush timing, statistics and wait flushing.
 
-The aggregator batches with two static thresholds, ``agg_max_entries``
-and ``agg_max_bytes``; there is no threshold controller, no age bound and
-no bundle compression.  The suite keeps the name it had when it also
+The aggregator batches with two static thresholds, ``MAX_ENTRIES`` and
+``MAX_BYTES``; there is no threshold controller, no age bound and no
+bundle compression.  The suite keeps the name it had when it also
 covered those removed mechanisms and now pins what stays of them:
 
-* knob validation happens when the flags value is built;
 * time alone never flushes a parked entry;
 * the per-rank snapshot, the world rollup, the report and the GUPS
   result fields;
@@ -18,7 +17,7 @@ import pytest
 from repro import barrier, new_, rank_me, rput
 from repro.apps.gups import GupsConfig, run_gups
 from repro.bench.report import format_aggregation_report
-from repro.errors import UpcxxError
+from repro.gasnet.aggregator import MAX_BYTES, MAX_ENTRIES
 from repro.memory.global_ptr import GlobalPtr
 from repro.runtime.config import RuntimeConfig, flags_for
 from repro.runtime.runtime import build_world, spmd_run
@@ -27,58 +26,30 @@ from repro.sim.stats import aggregation_snapshots, aggregation_stats
 from tests.conftest import VD, VE
 
 
-def agg_flags(version=VE, max_entries=32, max_bytes=4096):
-    return flags_for(version).replace(
-        am_aggregation=True,
-        agg_max_entries=max_entries,
-        agg_max_bytes=max_bytes,
-    )
+def agg_flags(version=VE):
+    return flags_for(version).replace(am_aggregation=True)
 
 
-def agg_world(ranks=4, n_nodes=2, conduit="ibv", **kw):
-    """Ranks 0/1 on node 0, ranks 2/3 on node 1, aggregation on."""
-    return build_world(
-        RuntimeConfig(conduit=conduit, flags=agg_flags(**kw)),
+def agg_world(
+    ranks=4, n_nodes=2, conduit="ibv",
+    max_entries=MAX_ENTRIES, max_bytes=MAX_BYTES,
+):
+    """Ranks 0/1 on node 0, ranks 2/3 on node 1, aggregation on, the
+    aggregators flushing at the given thresholds."""
+    w = build_world(
+        RuntimeConfig(conduit=conduit, flags=agg_flags()),
         ranks=ranks,
         n_nodes=n_nodes,
     )
+    for c in w.contexts:
+        c.am_agg.max_entries = max_entries
+        c.am_agg.max_bytes = max_bytes
+    return w
 
 
 def send(w, src, dst):
     """One aggregatable AM from ``src`` to ``dst``."""
     w.conduit.send_am(w.contexts[src], dst, lambda t: None, aggregatable=True)
-
-
-# ---------------------------------------------------------------------------
-# flag validation (at FeatureFlags construction, not first use)
-# ---------------------------------------------------------------------------
-
-
-class TestFlagValidation:
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            dict(agg_max_entries=0),
-            dict(agg_max_entries=-3),
-            dict(agg_max_bytes=0),
-            dict(agg_max_bytes=-1),
-        ],
-    )
-    def test_bad_knobs_rejected_at_construction(self, bad):
-        """Zero/negative knobs would make a buffer never flush; they must
-        fail when the flags value is *built*, before any world exists."""
-        with pytest.raises(UpcxxError, match=next(iter(bad))):
-            flags_for(VE).replace(**bad)
-
-    def test_rejected_even_with_aggregation_off(self):
-        """The value is invalid per se, not merely when consumed."""
-        with pytest.raises(UpcxxError):
-            flags_for(VE).replace(am_aggregation=False, agg_max_bytes=0)
-
-    def test_static_config_may_use_tiny_byte_threshold(self):
-        """Any threshold of at least 1 is legal, however small."""
-        fl = flags_for(VE).replace(am_aggregation=True, agg_max_bytes=1)
-        assert fl.agg_max_bytes == 1
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +130,7 @@ class TestStats:
         )
         r = run_gups(
             cfg, ranks=4, n_nodes=2, version=VE, machine="generic",
-            conduit="ibv", flags=agg_flags(max_entries=16),
+            conduit="ibv", flags=agg_flags(),
         )
         assert r.matches_oracle
         assert r.agg_mean_parked_ns >= 0.0
@@ -188,6 +159,6 @@ class TestEquivalence:
 
         res = spmd_run(
             body, ranks=4, n_nodes=2, conduit="ibv", version=VD,
-            flags=agg_flags(VD, max_entries=64),
+            flags=agg_flags(VD),
         )
         assert res.values == [0, 0, 123, 0]

@@ -22,6 +22,7 @@ from repro.apps.gups import GupsConfig, run_gups
 from repro.atomics.domain import AtomicDomain
 from repro.core.promise import Promise
 from repro.errors import UpcxxError
+from repro.gasnet.aggregator import MAX_BYTES, MAX_ENTRIES
 from repro.memory.global_ptr import GlobalPtr
 from repro.rpc import rpc_ff
 from repro.runtime.config import RuntimeConfig, Version, flags_for
@@ -33,21 +34,25 @@ from repro.sim.stats import aggregation_stats
 VD, VE = Version.V2021_3_6_DEFER, Version.V2021_3_6_EAGER
 
 
-def agg_flags(version=VE, max_entries=32, max_bytes=4096):
-    return flags_for(version).replace(
-        am_aggregation=True,
-        agg_max_entries=max_entries,
-        agg_max_bytes=max_bytes,
-    )
+def agg_flags(version=VE):
+    return flags_for(version).replace(am_aggregation=True)
 
 
-def agg_world(ranks=4, n_nodes=2, conduit="ibv", **kw):
-    """A multi-node world with aggregation on (ranks 0/1 node 0, 2/3 node 1)."""
-    return build_world(
-        RuntimeConfig(conduit=conduit, flags=agg_flags(**kw)),
+def agg_world(
+    ranks=4, n_nodes=2, conduit="ibv",
+    max_entries=MAX_ENTRIES, max_bytes=MAX_BYTES,
+):
+    """A multi-node world with aggregation on (ranks 0/1 node 0, 2/3 node
+    1) whose aggregators flush at the given thresholds."""
+    w = build_world(
+        RuntimeConfig(conduit=conduit, flags=agg_flags()),
         ranks=ranks,
         n_nodes=n_nodes,
     )
+    for c in w.contexts:
+        c.am_agg.max_entries = max_entries
+        c.am_agg.max_bytes = max_bytes
+    return w
 
 
 class TestEligibility:
@@ -90,14 +95,6 @@ class TestEligibility:
         with pytest.raises(UpcxxError):
             w.conduit.send_am(
                 w.contexts[0], 99, lambda t: None, aggregatable=True
-            )
-
-    def test_bad_thresholds_rejected(self):
-        with pytest.raises(UpcxxError):
-            build_world(
-                RuntimeConfig(conduit="ibv", flags=agg_flags(max_entries=0)),
-                ranks=4,
-                n_nodes=2,
             )
 
 
@@ -317,7 +314,7 @@ class TestSemanticsEquivalence:
                 version=version,
                 machine="generic",
                 conduit="ibv",
-                flags=agg_flags(version, max_entries=16),
+                flags=agg_flags(version),
             )
             assert r.matches_oracle
             assert r.passes_hpcc_verification
@@ -334,9 +331,7 @@ class TestSemanticsEquivalence:
         )
         runs = {}
         for on in (False, True):
-            fl = flags_for(VE).replace(
-                am_aggregation=on, agg_max_entries=16
-            )
+            fl = flags_for(VE).replace(am_aggregation=on)
             runs[on] = run_gups(
                 cfg,
                 ranks=4,

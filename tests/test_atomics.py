@@ -88,6 +88,10 @@ class TestArithmetic:
         g = new_("u64", 0b11)
         assert ad.fetch_bit_xor(g, 0b01).wait() == 0b11
         assert ad.load(g).wait() == 0b10
+        assert ad.fetch_bit_or(g, 0b101).wait() == 0b10
+        assert ad.load(g).wait() == 0b111
+        assert ad.fetch_bit_and(g, 0b110).wait() == 0b111
+        assert ad.load(g).wait() == 0b110
 
     def test_min_max(self, ctx, ad):
         g = new_("u64", 50)
@@ -115,8 +119,37 @@ class TestArithmetic:
         assert ad.load(g).wait() == 1.75
 
 
+#: (op, operands) for each ``fetch_*`` op but ``fetch_add``, whose
+#: ``_into`` form ``test_fetch_add_into`` checks
+FETCH_OPS = [
+    ("fetch_sub", (5,)),
+    ("fetch_inc", ()),
+    ("fetch_dec", ()),
+    ("fetch_bit_and", (0b0110,)),
+    ("fetch_bit_or", (0b0110,)),
+    ("fetch_bit_xor", (0b0110,)),
+    ("fetch_min", (7,)),
+    ("fetch_max", (40,)),
+]
+
+
 class TestNonValueFetching:
     """§III-B: fetch-into variants write the value to memory."""
+
+    @pytest.mark.parametrize(
+        "op, operands", FETCH_OPS, ids=[op for op, _ in FETCH_OPS]
+    )
+    def test_into_form_matches_value_form(self, ctx, ad, op, operands):
+        """The result slot receives exactly what the value form returns,
+        the target ends in the same state, and the future is value-less."""
+        by_value, by_into = new_("u64", 0b1100), new_("u64", 0b1100)
+        result = new_("u64")
+        fetched = getattr(ad, op)(by_value, *operands).wait()
+        fut = getattr(ad, op + "_into")(by_into, *operands, result)
+        assert fut.nvalues == 0
+        fut.wait()
+        assert result.local().read() == fetched
+        assert ad.load(by_into).wait() == ad.load(by_value).wait()
 
     def test_fetch_add_into(self, ctx, ad):
         g = new_("u64", 40)

@@ -18,7 +18,12 @@ from repro.bench.schema import (
 )
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COMMITTED = sorted(glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json")))
+#: the tracked artifacts; ``ab --quick`` and the CI jobs leave gitignored
+#: ``BENCH_*.quick.json`` / ``BENCH_*_ci.json`` files next to them
+COMMITTED = sorted(
+    p for p in glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json"))
+    if not p.endswith((".quick.json", "_ci.json"))
+)
 
 
 @pytest.mark.parametrize(
@@ -29,13 +34,7 @@ def test_committed_artifact_validates(path):
 
 
 @pytest.mark.parametrize(
-    "path",
-    [p for p in COMMITTED if ".quick." not in os.path.basename(p)],
-    ids=[
-        os.path.basename(p)
-        for p in COMMITTED
-        if ".quick." not in os.path.basename(p)
-    ],
+    "path", COMMITTED, ids=[os.path.basename(p) for p in COMMITTED]
 )
 def test_committed_baseline_is_full_run(path):
     with open(path) as fh:

@@ -301,11 +301,9 @@ def test_offnode_counter_with_aggregation(continuation, eager):
     aggregation in both body styles on both builds (the wait's
     progress-entry flush ships the member requests)."""
     version = VE if eager else VD
-    fl = _cx_flags(
-        version,
-        am_aggregation=True,
-        agg_max_entries=64,  # large: only the wait's flush drains it
-    )
+    # 6 atomics stay below the entry threshold: only the wait's flush
+    # drains them
+    fl = _cx_flags(version, am_aggregation=True)
     res = spmd_run(
         rank_body(_offnode_counter_body, continuation), args=(6,),
         ranks=2, version=version, conduit="ibv", n_nodes=2, flags=fl,

@@ -14,8 +14,6 @@ obs_spans            pure observation: toggling it leaves ``solve_ns``
 am_aggregation       strictly fewer ``AM_INJECT`` charges than the same
                      combo without it (bundling), and bundle headers
                      appear; checksum unchanged
-agg_max_* knobs      inert without ``am_aggregation``: the smallest legal
-                     thresholds leave every observable bit-identical
 ===================  =====================================================
 
 Timing (``solve_ns``) is *expected* to differ across the notification
@@ -28,7 +26,7 @@ strategies, bit-identical on every observable) and ``cx_continuations``
 (a *gate* on the continuation/counter completion kinds: bit-identical
 for workloads that request neither, documented expectations for the
 ``cont`` workload that does).  A Hypothesis property at the end draws
-from the whole flag space: every one of the 15 ``FeatureFlags`` fields,
+from the whole flag space: every one of the 12 ``FeatureFlags`` fields,
 any mix of the build booleans, any GUPS variant and topology.
 """
 
@@ -40,7 +38,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.gups import GUPS_VARIANTS, HPCC_TOLERANCE, GupsConfig, run_gups
-from repro.errors import UpcxxError
 from repro.runtime.config import FeatureFlags, flags_for
 from tests.conftest import VD, VE
 
@@ -104,23 +101,6 @@ class TestMatrix:
             assert obs.solve_ns == base.solve_ns, (version, on)
             assert obs.am_injects == base.am_injects, (version, on)
             assert obs.checksum == base.checksum, (version, on)
-
-    def test_agg_knob_flags_inert_without_aggregation(self, matrix):
-        """The batching thresholds only matter once ``am_aggregation``
-        is on: the smallest legal values change nothing without it."""
-        for version, on in combos(without=("am_aggregation",)):
-            flags = flags_for(version).replace(
-                agg_max_entries=1, agg_max_bytes=1,
-                **{name: True for name in on},
-            )
-            res = run_gups(
-                CFG, ranks=4, n_nodes=2, conduit="udp", version=version,
-                machine="generic", flags=flags,
-            )
-            base = matrix[combo_key(version, on)]
-            assert res.solve_ns == base.solve_ns, (version, on)
-            assert res.am_injects == base.am_injects, (version, on)
-            assert res.checksum == base.checksum, (version, on)
 
     def test_aggregation_bundles_reduce_injections(self, matrix):
         for version, on in combos(without=("am_aggregation",)):
@@ -297,12 +277,10 @@ class TestCxContinuationsDimension:
         assert modes == {"eager"}, modes
 
 
-# The whole flag space: a Hypothesis property over all 15 fields.  Each
+# The whole flag space: a Hypothesis property over all 12 fields.  Each
 # draw mixes the seven build booleans freely (not just the three named
-# builds), may set a threshold below 1, and runs any GUPS variant on a
-# one-node smp world or a two-node ibv/udp world.  A draw is either
-# rejected at construction with an error naming the bad field, or it
-# runs to completion within the HPCC tolerance.
+# builds) and runs any GUPS variant on a one-node smp world or a two-node
+# ibv/udp world; every draw runs to completion within the HPCC tolerance.
 BUILD_FIELDS = (
     "eager_notification",
     "eager_factories_available",
@@ -319,26 +297,21 @@ SWITCH_FIELDS = (
     "cost_batching",
     "cx_continuations",
 )
-#: integer knobs validated to be >= 1 at construction
-THRESHOLD_FIELDS = ("agg_max_entries", "agg_max_bytes", "obs_span_capacity")
 
 TOPOLOGIES = (("smp", 1), ("ibv", 2), ("udp", 2))
 
 
 @st.composite
 def flag_fields(draw):
-    kw = {name: draw(st.booleans()) for name in BUILD_FIELDS + SWITCH_FIELDS}
-    for name in THRESHOLD_FIELDS:
-        kw[name] = draw(st.integers(-2, 64))
-    return kw
+    return {name: draw(st.booleans()) for name in BUILD_FIELDS + SWITCH_FIELDS}
 
 
 class TestFlagSpaceProperty:
     def test_draws_cover_every_field(self):
-        drawn = BUILD_FIELDS + SWITCH_FIELDS + THRESHOLD_FIELDS
+        drawn = BUILD_FIELDS + SWITCH_FIELDS
         names = [f.name for f in dataclasses.fields(FeatureFlags)]
         assert sorted(drawn) == sorted(names)
-        assert len(names) == 15
+        assert len(names) == 12
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -347,12 +320,6 @@ class TestFlagSpaceProperty:
         topology=st.sampled_from(TOPOLOGIES),
     )
     def test_every_draw_is_rejected_or_runs(self, kw, variant, topology):
-        bad = [name for name in THRESHOLD_FIELDS if kw[name] < 1]
-        if bad:
-            with pytest.raises(UpcxxError) as excinfo:
-                FeatureFlags(**kw)
-            assert any(name in str(excinfo.value) for name in bad)
-            return
         conduit, n_nodes = ("smp", 1) if variant == "raw" else topology
         res = run_gups(
             GupsConfig(variant, table_log2=10, updates_per_rank=16, batch=4),

@@ -252,9 +252,8 @@ class TestWorldRollup:
         assert [s.rank for s in snaps] == [0, 1]
 
     def test_merge_counts_dropped(self, versioned_ctx):
-        ctx = versioned_ctx(
-            VE, flags=obs_flags(VE).replace(obs_span_capacity=2)
-        )
+        ctx = versioned_ctx(VE, flags=obs_flags(VE))
+        ctx.obs.spans.capacity = 2
         g = new_("u64")
         for _ in range(5):
             rput(1, g, operation_cx.as_future()).wait()

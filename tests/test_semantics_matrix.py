@@ -22,7 +22,6 @@ from repro import (
     rget_into,
     rput,
     rput_bulk,
-    rput_strided,
 )
 from repro.runtime.config import Version
 
@@ -39,8 +38,6 @@ def issue(op: str, comps):
         return rput(1, new_("u64"), comps)
     if op == "rput_bulk":
         return rput_bulk([1, 2], new_array("u64", 2), comps)
-    if op == "rput_strided":
-        return rput_strided([1, 2], new_array("u64", 4), 2, 2, comps)
     if op == "rget":
         return rget(new_("u64"), comps)
     if op == "rget_into":
@@ -59,7 +56,6 @@ def issue(op: str, comps):
 OPS = [
     "rput",
     "rput_bulk",
-    "rput_strided",
     "rget",
     "rget_into",
     "amo_add",

@@ -3,9 +3,11 @@
 The DHT body is now a generator (``_dht_body_gen``): every rank runs as an
 in-place continuation on one OS thread, so the workload scales to 1024
 ranks — a blocked-heavy shape (CAS waits, value puts, barrier fences, a
-final find phase) quite unlike the all-ready GUPS storm.  The wake-list
-scheduler keeps the parked-rank bookkeeping O(1) per switch; the wall
-budget below blows up if a per-switch O(ranks) scan sneaks back in.
+final find phase) quite unlike the all-ready GUPS storm.  The wall budget
+below is a generous smoke bound, not a scheduler-complexity gate: with
+the predicate scan forced, the sweep still finishes well inside it.  The
+wake list's O(1)-per-switch claim is pinned by the parked-predicate
+evaluation count in ``tests/test_wake_list.py``.
 """
 
 import time
@@ -20,8 +22,8 @@ RANK_SWEEP = (256, 1024)
 #: per-rank inserts/finds (constant: the point is rank count, not volume)
 OPS_PER_RANK = 4
 
-#: generous wall budget for the full sweep; a scheduler hot-path
-#: regression at 1024 blocked-heavy ranks lands far beyond this
+#: generous wall budget for the full sweep: a smoke bound that catches
+#: hangs and gross slowdowns, not a per-switch O(ranks) scan
 SWEEP_BUDGET_S = 120.0
 
 

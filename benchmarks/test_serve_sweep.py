@@ -8,9 +8,16 @@ claims the full ``BENCH_serve.json`` headline rests on:
 * each swept config exhibits a p99 saturation knee within the rate grid;
 * the eager build's knee is at least as high as the deferred build's
   (the paper's mechanism, restated as sustainable offered load).
+
+Every row is deterministic virtual time, and quick mode sweeps a subset
+of the full sweep's (config, rate) cells, so each quick row must also
+equal the committed ``BENCH_serve.json`` row for the same cell, field for
+field.
 """
 
+import json
 import time
+from pathlib import Path
 
 from benchmarks.conftest import write_figure
 from repro.bench.report import format_serve_report
@@ -24,6 +31,8 @@ from repro.bench.servebench import (
 #: generous wall budget; the quick sweep is a CI smoke, not a soak
 SWEEP_BUDGET_S = 300.0
 
+COMMITTED = Path(__file__).parent.parent / "BENCH_serve.json"
+
 
 def test_serve_quick_sweep(figure_dir):
     t0 = time.perf_counter()
@@ -36,6 +45,18 @@ def test_serve_quick_sweep(figure_dir):
     rows = doc["sweep"]["rows"]
     configs = {r["config"] for r in rows}
     head = doc["headline"]
+
+    # every quick row reproduces the committed full-sweep row exactly
+    committed = json.loads(COMMITTED.read_text())
+    assert committed["quick"] is False
+    committed_rows = {
+        (r["config"], r["offered_rate_rps"]): r
+        for r in committed["sweep"]["rows"]
+    }
+    assert rows
+    for row in rows:
+        key = (row["config"], row["offered_rate_rps"])
+        assert json.loads(json.dumps(row)) == committed_rows.get(key), key
 
     # every swept config has a knee entry; the coarse quick grid may
     # miss some configs' knees (None), but any located knee is a swept

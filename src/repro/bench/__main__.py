@@ -8,7 +8,6 @@ Reproduces any of the paper's figures without pytest:
     python -m repro.bench gups --machine ibm --ranks 16
     python -m repro.bench matching --ranks 16 --scale 3
     python -m repro.bench offnode
-    python -m repro.bench sched --out BENCH_sched.json
     python -m repro.bench serve --out BENCH_serve.json
     python -m repro.bench ab --quick
     python -m repro.bench ab --spec eager_defer --gate
@@ -167,23 +166,6 @@ def _resolve_artifact_out(name: str, args) -> str:
                 f"BENCH_{name}.quick.json; pass --force to mean it)"
             )
     return out
-
-
-def cmd_sched(args) -> None:
-    from repro.bench.schedbench import write_sched_bench
-
-    out = _resolve_artifact_out("sched", args)
-    doc = write_sched_bench(
-        out, quick=args.quick, progress=lambda m: print(m, flush=True)
-    )
-    head = doc["headline"]
-    print(
-        f"blocked speedup (wake vs scan): "
-        f"{head['blocked_speedup_min']:.1f}x .. "
-        f"{head['blocked_speedup_max']:.1f}x "
-        f"({head['blocked_1024_wake_switches_per_s']} switches/s at 1024)"
-    )
-    print(f"wrote {out}")
 
 
 def cmd_serve(args) -> None:
@@ -399,17 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="allow a --quick run to overwrite a full artifact at an "
             "explicit --out path",
         )
-
-    p = sub.add_parser(
-        "sched",
-        help="scheduler benchmark (wake list vs predicate scan) "
-        "-> BENCH_sched.json",
-    )
-    artifact_io(
-        p, "sched",
-        "small sweep for CI smoke (seconds instead of minutes)",
-    )
-    p.set_defaults(fn=cmd_sched)
 
     p = sub.add_parser(
         "serve",

@@ -48,6 +48,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro import barrier_gen, current_ctx, rank_me
 from repro.runtime.config import (
     FeatureFlags,
     Version,
@@ -55,6 +56,7 @@ from repro.runtime.config import (
     flag_names,
     flags_for,
 )
+from repro.sim.costmodel import CostAction
 from repro.sim.stats import seed_confidence_interval
 
 #: bumped when the artifact layout changes incompatibly
@@ -302,14 +304,27 @@ def _wl_gups(*, point, axis, flags, version, seed, params):
     return _gups_cell(res)
 
 
+def _blocked_storm_body(rounds: int):
+    def body():
+        ctx = current_ctx()
+        me = rank_me()
+        for k in range(rounds):
+            # staggered arrivals: uneven local work per rank per round, so
+            # early arrivals genuinely park while stragglers finish
+            ctx.charge(CostAction.FUNCTION_CALL, 1 + ((me + k) % 7))
+            yield from barrier_gen()
+
+    return body
+
+
 @workload("blocked_storm")
 def _wl_blocked_storm(*, point, axis, flags, version, seed, params):
-    """The blocked-heavy barrier storm from ``schedbench`` (staggered
-    arrivals park nearly every rank).  Deterministic metrics are switch
-    count and final virtual clock — a pure pick-mechanism swap like the
-    wake list must measure exactly 1.00× on both; the wall-clock win
-    lives in the environment section only."""
-    from repro.bench.schedbench import _blocked_storm_body
+    """The blocked-heavy barrier storm: every rank loops over a barrier
+    with staggered arrivals, so nearly every rank is parked at any
+    moment and the pick mechanism dominates.  Deterministic metrics are
+    switch count and final virtual clock — a pure pick-mechanism swap
+    like the wake list must measure exactly 1.00× on both; the
+    wall-clock win lives in the environment section only."""
     from repro.runtime.runtime import spmd_run
 
     if axis != "ranks":
@@ -700,11 +715,12 @@ WAKE_SCAN = _register(ABSpec(
         "storm (event-loop substrate).  The honesty check: a pure "
         "pick-mechanism swap must measure exactly 1.00x on every "
         "deterministic metric (switch counts, virtual clocks); the "
-        "wall-clock win lives in the environment section only"
+        "wall-clock win lives in the environment section only, where "
+        "the scan's O(blocked) work per switch grows with ranks"
     ),
     workload="blocked_storm",
     axis="ranks",
-    points=(16, 64, 256),
+    points=(16, 64, 256, 1024),
     quick_points=(16, 64),
     seeds=(1,),
     quick_seeds=(1,),
@@ -714,7 +730,7 @@ WAKE_SCAN = _register(ABSpec(
     arm_a="scan",
     arm_b="wake",
     workload_params={
-        "rounds_by_ranks": {"16": 120, "64": 50, "256": 16},
+        "rounds_by_ranks": {"16": 120, "64": 50, "256": 16, "1024": 10},
     },
     metrics=(
         MetricSpec("switches", better="lower"),

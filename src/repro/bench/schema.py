@@ -15,8 +15,8 @@ just the one bench that happened to grow a validator first:
   able to strip the environment side and expect the rest to be stable.
   The A/B artifacts (:mod:`repro.bench.ab`) separate the two
   *structurally* (top-level ``deterministic`` / ``environment`` blocks);
-  the legacy docs mix them per key, so :func:`strip_environment`
-  classifies by key name.
+  the serve doc mixes them per key, so :func:`strip_environment`
+  classifies its keys by name.
 
 :func:`validate_artifact` applies the common invariants plus per-bench
 structural checks; the tier-1 suite runs it over every committed
@@ -35,10 +35,10 @@ _ENV_EXACT = frozenset({"python", "invocation"})
 #: ``_s``-suffixed keys that are deterministic inputs, not wall seconds
 _DET_EXCEPTIONS = frozenset({"zipf_s"})
 
-_KNOWN_BENCHES = ("ab", "sched", "serve")
+_KNOWN_BENCHES = ("ab", "serve")
 
 
-def _is_wall_key(key: str) -> bool:
+def is_environment_key(key: str) -> bool:
     """Wall-clock or interpreter flavored: never allowed on the
     deterministic side of any artifact."""
     if key in _ENV_EXACT or "wall" in key:
@@ -46,20 +46,6 @@ def _is_wall_key(key: str) -> bool:
     if key.endswith("_s") and key not in _DET_EXCEPTIONS:
         return True
     return key.endswith("_per_s")
-
-
-def is_environment_key(key: str) -> bool:
-    """Whether a *legacy* artifact key carries environment-dependent data.
-
-    Beyond the wall/interpreter markers this also classifies the legacy
-    speedup keys: the sched doc's ``speedup`` / ``blocked_speedup_*``
-    values (and any ``meets_*`` bound on them) are ratios of wall
-    seconds.  (The A/B docs'
-    ``speedup`` blocks are ratios of *virtual-time* metrics and live on
-    the deterministic side — but those docs are split structurally and
-    never consult this classifier.)
-    """
-    return _is_wall_key(key) or "speedup" in key or key.startswith("meets_")
 
 
 def _strip_keys(obj):
@@ -96,7 +82,7 @@ def _walk_finite(errors, where, obj):
 def _walk_det_keys(errors, where, obj):
     if isinstance(obj, dict):
         for k, v in obj.items():
-            if _is_wall_key(k):
+            if is_environment_key(k):
                 errors.append(
                     f"{where}.{k}: wall/interpreter-flavored key inside "
                     "the deterministic block"
@@ -223,20 +209,6 @@ def _validate_ab(errors: list, doc: dict) -> None:
             )
 
 
-def _validate_sched(errors: list, doc: dict) -> None:
-    blocked = doc.get("blocked_storm")
-    if not isinstance(blocked, dict) or not isinstance(
-        blocked.get("rows"), list
-    ) or not blocked["rows"]:
-        errors.append("no blocked_storm.rows list")
-    else:
-        for i, row in enumerate(blocked["rows"]):
-            if not {"ranks", "switches"} <= set(row):
-                errors.append(f"blocked_storm.rows[{i}]: missing ranks/switches")
-    if not isinstance(doc.get("headline"), dict):
-        errors.append("no headline object")
-
-
 def validate_artifact(doc, path: str = "?") -> list:
     """Validate one artifact document; returns problems (empty = valid).
 
@@ -268,8 +240,6 @@ def validate_artifact(doc, path: str = "?") -> list:
         errors.append("deterministic projection is empty")
     if bench == "ab":
         _validate_ab(errors, doc)
-    elif bench == "sched":
-        _validate_sched(errors, doc)
     elif bench == "serve":
         from repro.bench.servebench import validate_serve_doc
 

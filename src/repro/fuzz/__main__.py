@@ -10,7 +10,8 @@ be reproduced locally::
 
     PYTHONPATH=src python -m repro.fuzz --seeds 1 2 3 --programs 200
 
-    # replay a failing program artifact
+    # replay a failing program artifact (re-checks the cx variants the
+    # failing run used; --cx overrides them)
     PYTHONPATH=src python -m repro.fuzz --replay fuzz-failure.json
 """
 
@@ -40,6 +41,7 @@ def _fail(args, seed: int, index: int, program, mismatches) -> int:
         "generator_seed": seed,
         "program_index": index,
         "program_seed": _program_seed(seed, index),
+        "cx": list(args.cx or ()),
         "mismatches": mismatches,
         "program": doc,
     }
@@ -80,15 +82,16 @@ def main(argv=None) -> int:
         "program JSON) instead of generating new ones",
     )
     parser.add_argument(
-        "--cx", nargs="+", choices=CX_MODES[1:], default=[],
+        "--cx", nargs="+", choices=CX_MODES[1:], default=None,
         metavar="VARIANT",
         help="completion-kind swap variants (continuation, counter): each "
         "program additionally runs with its future-tracked ops swapped "
         "for the named kinds, and every (mode, variant) outcome must "
-        "reproduce that mode's future baseline (default: none)",
+        "reproduce that mode's future baseline (default: none; under "
+        "--replay, the variants recorded in the artifact)",
     )
     args = parser.parse_args(argv)
-    cx_modes = tuple(args.cx)
+    cx_modes = tuple(args.cx or ())
 
     if args.replay:
         with open(args.replay) as fh:
@@ -96,6 +99,8 @@ def main(argv=None) -> int:
         program = program_from_json(
             json.dumps(doc["program"] if "program" in doc else doc)
         )
+        if args.cx is None:
+            cx_modes = tuple(doc.get("cx", ()))
         mismatches = check_program(program, cx_modes=cx_modes)
         if mismatches:
             print(f"still mismatching: {mismatches}", file=sys.stderr)

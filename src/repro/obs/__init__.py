@@ -2,9 +2,9 @@
 
 Gated behind ``FeatureFlags.obs_spans`` (default off).  When the flag is
 off, ``RankContext.obs`` stays ``None`` and every instrumentation site
-reduces to one attribute check — the same zero-cost pattern the cost
-tracer uses — so all existing figures are bit-identical.  When on, each
-rank records :class:`~repro.obs.span.OpSpan` lifecycles and a
+reduces to one attribute check (the pattern ``RankContext.am_agg`` also
+uses), so all existing figures are bit-identical.  When on, each rank
+records :class:`~repro.obs.span.OpSpan` lifecycles and a
 :class:`~repro.obs.metrics.MetricsRegistry`, exportable as a
 Chrome/Perfetto trace (:func:`~repro.obs.export.chrome_trace`) or rolled
 up world-wide (:func:`~repro.obs.span.merge_obs_snapshots`).

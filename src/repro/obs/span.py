@@ -284,7 +284,7 @@ class ObsState:
 
     ``ctx.obs`` is ``None`` unless ``FeatureFlags.obs_spans`` is set;
     every instrumentation site guards on that single attribute, the same
-    zero-cost pattern ``CostModel`` uses for its tracer hook.
+    pattern as ``RankContext.am_agg``.
     """
 
     MAX_DEPTH_SAMPLES = 100_000

@@ -58,7 +58,6 @@ class RankContext:
         )
         self.clock = VirtualClock()
         self.costs = CostModel(profile, self.clock)
-        self.costs._ctx = self  # back-reference for tracing
         if config.noise:
             self.costs.noise = config.noise
             # independent of self.rng so timing jitter never perturbs

@@ -168,16 +168,14 @@ class CostModel:
     only remaining incompatibility is timing noise, whose jitter must be
     drawn per charge.
 
-    While batching is on and no :class:`~repro.sim.trace.Tracer` is
-    attached, a charge tests one precomputed flag and does three list/
-    integer operations (count, units, pending); :attr:`tracer` assignment
-    and :meth:`enable_batching` recompute that flag.
+    While batching is on, a charge tests one flag and does three list/
+    integer operations (count, units, pending).
     """
 
     __slots__ = (
-        "profile", "clock", "counts", "_tracer", "_ctx",
+        "profile", "clock", "counts",
         "noise", "noise_rng", "noise_run_factor",
-        "_cost_ns", "_cost_units", "_batching", "_fast",
+        "_cost_ns", "_cost_units", "_batching",
         "_pending_units", "_batch_counts",
     )
 
@@ -195,14 +193,8 @@ class CostModel:
         #: is dyadic), used by the noise path
         self._cost_ns: list[float] = [u * _INV_UNITS for u in self._cost_units]
         self._batching: bool = False
-        #: batching on and no tracer attached: the one-branch charge path
-        self._fast: bool = False
         self._pending_units: int = 0
         self._batch_counts: list[int] = [0] * len(_ACTIONS)
-        #: optional repro.sim.trace.Tracer recording the event timeline
-        self._tracer = None
-        #: back-reference set by RankContext (used only for tracing)
-        self._ctx = None
         #: relative timing jitter (0.0 = deterministic).  Noise is
         #: one-sided — interference (OS, other processes, coherence
         #: traffic) only ever *adds* time — which is exactly why the
@@ -214,16 +206,6 @@ class CostModel:
         #: component is what the top-10-of-N estimator filters out.
         self.noise_run_factor: float = 1.0
 
-    @property
-    def tracer(self):
-        """The attached :class:`~repro.sim.trace.Tracer` (or None)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        self._tracer = tracer
-        self._fast = self._batching and tracer is None
-
     def _jitter(self, ns: float) -> float:
         if self.noise and self.noise_rng is not None and ns > 0:
             per_charge = 1.0 + self.noise * abs(self.noise_rng.gauss(0, 1))
@@ -232,7 +214,7 @@ class CostModel:
 
     def charge(self, action: CostAction, times: int = 1) -> float:
         """Charge ``times`` occurrences of ``action``; return ns charged."""
-        if self._fast:
+        if self._batching:
             i = action.idx
             self._batch_counts[i] += times
             units = self._cost_units[i] * times
@@ -242,7 +224,7 @@ class CostModel:
 
     def charge_bytes(self, action: CostAction, nbytes: int) -> float:
         """Charge a per-byte action scaled by ``nbytes`` (counted once)."""
-        if self._fast:
+        if self._batching:
             i = action.idx
             self._batch_counts[i] += 1
             units = self._cost_units[i] * nbytes
@@ -251,27 +233,18 @@ class CostModel:
         return self._charge_slow(action, 1, nbytes)
 
     def _charge_slow(self, action: CostAction, count: int, scale: int) -> float:
-        """The batched-traced, noisy and unbatched charge paths: count
-        ``count`` occurrences and charge ``scale`` × the action's cost."""
-        if self._batching:
-            self._batch_counts[action.idx] += count
-            units = self._cost_units[action.idx] * scale
-            self._pending_units += units
-            ns = units * _INV_UNITS
-        else:
-            self.counts[action] += count
-            if self.noise:
-                ns = self._jitter(self._cost_ns[action.idx] * scale)
-                if ns:
-                    self.clock.advance(ns)
-            else:
-                units = self._cost_units[action.idx] * scale
-                if units:
-                    self.clock.advance_units(units)
-                ns = units * _INV_UNITS
-        if self._tracer is not None and self._ctx is not None:
-            self._tracer.record(self._ctx, action, count)
-        return ns
+        """The unbatched (noisy or exact) charge path: count ``count``
+        occurrences and charge ``scale`` × the action's cost."""
+        self.counts[action] += count
+        if self.noise:
+            ns = self._jitter(self._cost_ns[action.idx] * scale)
+            if ns:
+                self.clock.advance(ns)
+            return ns
+        units = self._cost_units[action.idx] * scale
+        if units:
+            self.clock.advance_units(units)
+        return units * _INV_UNITS
 
     # -- batched mode --------------------------------------------------------
 
@@ -292,7 +265,6 @@ class CostModel:
                 "(jitter is drawn per charge)"
             )
         self._batching = True
-        self._fast = self._tracer is None
         self.clock._flush_hook = self._flush_pending
 
     def _flush_pending(self) -> None:

@@ -147,7 +147,7 @@ class TestWakeScanRun:
         assert validate_artifact(wake_scan_doc, path="mem") == []
 
     def test_environment_separated(self, wake_scan_doc):
-        from repro.bench.schema import _is_wall_key
+        from repro.bench.schema import is_environment_key
 
         env = wake_scan_doc["environment"]
         assert all("wall_s" in c for c in env["cells"].values())
@@ -164,7 +164,7 @@ class TestWakeScanRun:
         # no wall-clock/interpreter flavored key anywhere deterministic
         assert not [
             k for k in keys_of(wake_scan_doc["deterministic"])
-            if _is_wall_key(k)
+            if is_environment_key(k)
         ]
 
     def test_round_trips(self, wake_scan_doc):

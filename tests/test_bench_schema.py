@@ -45,33 +45,35 @@ def test_committed_artifacts_exist():
     # the repo's perf trajectory is these files; losing them all would
     # silently disable every CI gate
     names = {os.path.basename(p) for p in COMMITTED}
-    assert {"BENCH_sched.json", "BENCH_serve.json"} <= names
+    assert {
+        "BENCH_ab_agg_on_off.json", "BENCH_ab_cont_future.json",
+        "BENCH_ab_eager_defer.json", "BENCH_ab_wake_scan.json",
+        "BENCH_serve.json",
+    } <= names
 
 
 class TestEnvironmentClassifier:
     def test_wall_and_interpreter_keys(self):
         for key in ("python", "invocation", "thread_s", "event_s",
-                    "wall_s", "wall_s_total", "wake_switches_per_s",
-                    "storm_speedup_min", "meets_5x_scheduler_bound",
-                    "speedup"):
+                    "wall_s", "wall_s_total", "wake_switches_per_s"):
             assert is_environment_key(key), key
 
     def test_deterministic_keys(self):
         for key in ("solve_ns", "mean_gap_ns", "switches", "gap_modes",
                     "offered_rate_rps", "slo_ns", "ranks", "zipf_s",
-                    "gap_ratio", "checksum"):
+                    "gap_ratio", "checksum", "speedup"):
             assert not is_environment_key(key), key
 
 
 class TestStripEnvironment:
     def test_legacy_strip_removes_wall_keys(self):
         doc = {
-            "bench": "sched", "quick": False, "python": "3.11",
-            "rows": [{"switches": 10, "scan_s": 0.5, "wake_s": 0.1}],
+            "bench": "serve", "quick": False, "python": "3.11",
+            "sweep": {"rows": [{"requests": 10, "wall_s": 0.5}]},
         }
         det = strip_environment(doc)
-        assert det == {"bench": "sched", "quick": False,
-                       "rows": [{"switches": 10}]}
+        assert det == {"bench": "serve", "quick": False,
+                       "sweep": {"rows": [{"requests": 10}]}}
 
     def test_ab_strip_is_structural(self):
         doc = {"bench": "ab", "quick": False,
@@ -111,13 +113,9 @@ class TestRejections:
         assert any("non-finite" in e for e in validate_artifact(doc))
 
     def test_truncated_sections_rejected(self):
-        for bench, required in (
-            ("sched", "blocked_storm"),
-            ("serve", "sweep"),
-        ):
-            errs = validate_artifact({"bench": bench, "quick": False,
-                                      "headline": {}})
-            assert any(required in e for e in errs), (bench, errs)
+        errs = validate_artifact({"bench": "serve", "quick": False,
+                                  "headline": {}})
+        assert any("sweep" in e for e in errs), errs
 
     def test_quick_at_canonical_name_rejected(self, tmp_path, serve_doc):
         doc = copy.deepcopy(serve_doc)

@@ -87,7 +87,7 @@ class TestArtifactParsers:
 
     def test_artifact_out_defaults_to_none(self):
         # --out None lets quick runs pick BENCH_<name>.quick.json
-        for cmd in ("sched", "serve"):
+        for cmd in ("serve", "ab"):
             args = build_parser().parse_args([cmd])
             assert args.out is None and not args.force
 
@@ -103,42 +103,42 @@ class TestQuickArtifactNaming:
         return argparse.Namespace(**base)
 
     def test_full_default_is_canonical(self):
-        assert _resolve_artifact_out("sched", self._args()) == (
-            "BENCH_sched.json"
+        assert _resolve_artifact_out("serve", self._args()) == (
+            "BENCH_serve.json"
         )
 
     def test_quick_default_has_quick_marker(self):
-        assert _resolve_artifact_out("sched", self._args(quick=True)) == (
-            "BENCH_sched.quick.json"
+        assert _resolve_artifact_out("serve", self._args(quick=True)) == (
+            "BENCH_serve.quick.json"
         )
 
     def test_quick_refuses_to_clobber_full_artifact(self, tmp_path):
         target = tmp_path / "BENCH_x.json"
-        target.write_text(json.dumps({"bench": "sched", "quick": False}))
+        target.write_text(json.dumps({"bench": "serve", "quick": False}))
         with pytest.raises(SystemExit, match="refusing to overwrite"):
             _resolve_artifact_out(
-                "sched", self._args(out=str(target), quick=True)
+                "serve", self._args(out=str(target), quick=True)
             )
 
     def test_force_overrides_refusal(self, tmp_path):
         target = tmp_path / "BENCH_x.json"
-        target.write_text(json.dumps({"bench": "sched", "quick": False}))
+        target.write_text(json.dumps({"bench": "serve", "quick": False}))
         out = _resolve_artifact_out(
-            "sched", self._args(out=str(target), quick=True, force=True)
+            "serve", self._args(out=str(target), quick=True, force=True)
         )
         assert out == str(target)
 
     def test_quick_over_quick_is_fine(self, tmp_path):
         target = tmp_path / "BENCH_x.quick.json"
-        target.write_text(json.dumps({"bench": "sched", "quick": True}))
+        target.write_text(json.dumps({"bench": "serve", "quick": True}))
         out = _resolve_artifact_out(
-            "sched", self._args(out=str(target), quick=True)
+            "serve", self._args(out=str(target), quick=True)
         )
         assert out == str(target)
 
     def test_explicit_out_to_fresh_path_is_fine(self, tmp_path):
         out = _resolve_artifact_out(
-            "sched", self._args(out=str(tmp_path / "new.json"), quick=True)
+            "serve", self._args(out=str(tmp_path / "new.json"), quick=True)
         )
         assert out.endswith("new.json")
 

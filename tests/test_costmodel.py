@@ -1,7 +1,6 @@
 """Unit tests for the cost model and machine profiles."""
 
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.sim.clock import VirtualClock
 from repro.sim.costmodel import CostAction, CostModel
-from repro.sim.trace import Tracer
 from repro.sim.machines import (
     GENERIC,
     IBM,
@@ -84,9 +82,8 @@ _charges = st.lists(
 )
 
 
-def _traced_model(batching: bool):
+def _model(batching: bool):
     model = CostModel(INTEL, VirtualClock())
-    model._ctx = SimpleNamespace(rank=0, clock=model.clock)
     if batching:
         model.enable_batching()
     return model
@@ -99,39 +96,24 @@ def _apply(model, action, kind, n):
 
 
 class TestChargePaths:
-    """The one-branch batched path, the unbatched path and the traced
-    path are the same accounting: identical clock units, counts and
-    per-call return values for any charge sequence."""
+    """The one-branch batched path and the unbatched path are the same
+    accounting: identical clock units, counts and per-call return values
+    for any charge sequence."""
 
     @settings(max_examples=200, deadline=None)
-    @given(ops=_charges, data=st.data())
-    def test_fast_unbatched_and_traced_paths_agree(self, ops, data):
-        attach = data.draw(st.integers(0, len(ops)))
-        detach = data.draw(st.integers(attach, len(ops)))
-        fast = _traced_model(batching=True)
-        plain = _traced_model(batching=False)
-        traced = _traced_model(batching=True)
-        always = Tracer()
-        always.attach(SimpleNamespace(costs=traced))
-        window = Tracer()
-        holder = SimpleNamespace(costs=fast)
-        for i, (action, kind, n) in enumerate(ops):
-            if i == attach:
-                window.attach(holder)
-            if i == detach:
-                window.detach(holder)
-            got = [_apply(m, action, kind, n) for m in (fast, plain, traced)]
-            assert got[0] == got[1] == got[2]
-        window.detach(holder)
-        assert fast._fast and not plain._fast and not traced._fast
-        clocks = [m.clock.now_ns for m in (fast, plain, traced)]
-        assert clocks[0] == clocks[1] == clocks[2]
+    @given(ops=_charges)
+    def test_batched_and_unbatched_paths_agree(self, ops):
+        batched = _model(batching=True)
+        plain = _model(batching=False)
+        for action, kind, n in ops:
+            assert _apply(batched, action, kind, n) == _apply(
+                plain, action, kind, n
+            )
+        assert batched._batching and not plain._batching
+        assert batched.clock.now_ns == plain.clock.now_ns
         expected = _expected_counts(ops)
-        for m in (fast, plain, traced):
-            assert m.snapshot() == expected
-        assert always.counts() == expected
-        assert len(always) == len(ops)
-        assert len(window) == detach - attach
+        assert batched.snapshot() == expected
+        assert plain.snapshot() == expected
 
 
 def _expected_counts(ops):

@@ -18,6 +18,7 @@ The CI ``tier2-fuzz`` job runs the heavier multi-seed sweep through
 tier 1 plus targeted structure/replay checks.
 """
 
+import json
 import random
 
 import pytest
@@ -238,3 +239,28 @@ class TestReplay:
         prog = generate_program(12345)
         clone = program_from_json(program_to_json(prog))
         assert run_program(prog, "defer") == run_program(clone, "defer")
+
+    def test_cx_only_failure_replays_with_its_variants(
+        self, tmp_path, monkeypatch
+    ):
+        """A mismatch that only a completion-kind variant shows must not
+        replay clean: the failure artifact records the run's ``--cx``
+        variants and ``--replay`` re-checks them."""
+        import repro.fuzz.__main__ as cli
+
+        real_check = cli.check_program
+
+        def check(program, cx_modes=()):
+            mismatches = real_check(program, cx_modes=cx_modes)
+            if "counter" in cx_modes:
+                mismatches.append("injected counter-only mismatch")
+            return mismatches
+
+        monkeypatch.setattr(cli, "check_program", check)
+        artifact = tmp_path / "fuzz-failure.json"
+        assert cli.main([
+            "--seeds", "1", "--programs", "1", "--cx", "counter",
+            "--artifact", str(artifact),
+        ]) == 1
+        assert cli.main(["--replay", str(artifact)]) == 1
+        assert json.loads(artifact.read_text())["cx"] == ["counter"]

@@ -3,8 +3,8 @@
 Every rendering/rollup surface must degrade gracefully when a run did
 nothing: no ``max()`` on an empty sequence, no division by a zero count,
 no validator error for a legitimately empty export.  Exercised both at
-the unit level (empty tracers/histograms) and end to end (an SPMD run
-whose body performs no communication, with observability enabled).
+the unit level (empty histograms and registries) and end to end (an SPMD
+run whose body performs no communication, with observability enabled).
 """
 
 from repro.bench.report import (
@@ -21,7 +21,6 @@ from repro.obs.metrics import (
 )
 from repro.runtime.runtime import spmd_run
 from repro.sim.stats import observability_snapshots, observability_stats
-from repro.sim.trace import Tracer
 from tests.conftest import VD, obs_flags
 
 
@@ -32,26 +31,6 @@ def _noop_body():
 
 def _empty_obs_world():
     return spmd_run(_noop_body, ranks=2, version=VD, flags=obs_flags(VD))
-
-
-class TestTracerEmpty:
-    def test_format_timeline_no_events(self):
-        text = Tracer().format_timeline()
-        assert "t/ns" in text
-        assert "(no events)" in text
-
-    def test_format_timeline_empty_with_capacity_drop_note(self):
-        tr = Tracer(capacity=0)
-        assert tr.summary()["complete"]
-        assert "(no events)" in tr.format_timeline()
-
-    def test_counts_first_last_on_empty(self):
-        from repro.sim.costmodel import CostAction
-
-        tr = Tracer()
-        assert tr.counts() == {}
-        assert tr.first(CostAction.PROGRESS_POLL) is None
-        assert tr.last(CostAction.PROGRESS_POLL) is None
 
 
 class TestHistogramsEmpty:

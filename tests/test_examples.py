@@ -70,3 +70,35 @@ class TestTools:
         assert proc.returncode == 0, proc.stderr[-1000:]
         assert "heap_alloc_promise_cell" in proc.stdout
         assert "2021.3.6-eager" in proc.stdout
+
+    def test_diagnose_receipts_account_for_every_ns(self):
+        """Each receipt's rows sum exactly to the op's elapsed virtual ns
+        (costs sit on the 2^-20 ns grid, so the float sum is exact), and
+        §III's claims hold as rows: the eager put charges no promise cell
+        and no queue traffic, the deferred put exactly one of each."""
+        import importlib.util
+
+        path = Path(__file__).parent.parent / "tools" / "diagnose.py"
+        spec = importlib.util.spec_from_file_location("diagnose", path)
+        diagnose = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(diagnose)
+        counts = {}
+        for op in diagnose.OPS:
+            for version in diagnose.VERSIONS:
+                r = diagnose.diagnose(version, "intel", op)
+                assert sum(c["cost_ns"] for c in r["costs"]) == (
+                    r["elapsed_ns"]
+                ), (op, version)
+                counts[op, version] = {
+                    c["action"]: c["count"] for c in r["costs"]
+                }
+        assert len(counts) == 8
+        eager = counts["put", diagnose.Version.V2021_3_6_EAGER]
+        defer = counts["put", diagnose.Version.V2021_3_6_DEFER]
+        for action in (
+            "heap_alloc_promise_cell",
+            "progress_queue_enqueue",
+            "progress_dispatch",
+        ):
+            assert action not in eager, action
+            assert defer[action] == 1, action

@@ -163,6 +163,29 @@ class TestCostStructure:
         c = _counts_for(VE, "get_nv")
         assert c.get(CostAction.HEAP_ALLOC_PROMISE_CELL, 0) == 0
 
+    def test_defer_dispatch_happens_after_enqueue(self, versioned_ctx):
+        """The deferred path's temporal shape: the enqueue is charged at
+        initiation, the dispatch only later, inside wait's progress."""
+        c = versioned_ctx(VD)
+        g = new_("u64")
+        before = c.costs.snapshot()
+        f = rput(1, g)
+        issued = c.costs.snapshot() - before
+        assert issued[CostAction.PROGRESS_QUEUE_ENQUEUE] == 1
+        assert issued[CostAction.PROGRESS_DISPATCH] == 0
+        f.wait()
+        waited = c.costs.snapshot() - before - issued
+        assert waited[CostAction.PROGRESS_DISPATCH] == 1
+
+    def test_eager_has_no_dispatch_at_all(self, versioned_ctx):
+        c = versioned_ctx(VE)
+        g = new_("u64")
+        before = c.costs.snapshot()
+        rput(1, g).wait()
+        charged = c.costs.snapshot() - before
+        assert charged[CostAction.PROGRESS_DISPATCH] == 0
+        assert charged[CostAction.MEMCPY_8B] >= 1
+
     def test_version_latency_ordering(self):
         """2021.3.0 ≥ 2021.3.6-defer ≥ 2021.3.6-eager for local ops, on
         every machine profile."""

@@ -21,6 +21,7 @@ from repro.fuzz import MODES, generate_program
 from repro.fuzz.runner import run_program
 from repro.runtime.config import Version, flags_for
 from repro.runtime.runtime import spmd_run
+from repro.runtime.scheduler import SchedulerCore
 from repro.runtime.switchpoints import BlockUntil
 from repro.sim.costmodel import CostAction
 from tests.conftest import rank_body
@@ -125,6 +126,42 @@ class TestTraceBitIdentity:
                     base.tables, base.values, base.completions,
                     base.clock_ns,
                 )
+
+
+class TestParkedPredicatesNotRescanned:
+    """The wake list's cost claim as a deterministic count: once a rank
+    parks on a keyed block, the wake list never evaluates its predicate
+    again, while the scan re-evaluates every parked rank's predicate on
+    every switch (O(blocked) per switch).  An O(ranks)-per-switch
+    regression shows up here as evaluations on any runner, where a
+    wall-clock throughput floor would depend on the runner's speed."""
+
+    @pytest.mark.parametrize("wake_list", [True, False])
+    def test_parked_predicate_evaluations(self, wake_list, monkeypatch):
+        evaluations = 0
+        enter_blocked = SchedulerCore._enter_blocked
+
+        def counting_enter_blocked(sched, rank, pred, wake):
+            def counted():
+                nonlocal evaluations
+                evaluations += 1
+                return pred()
+
+            enter_blocked(sched, rank, counted, wake)
+
+        monkeypatch.setattr(
+            SchedulerCore, "_enter_blocked", counting_enter_blocked
+        )
+        res = spmd_run(
+            _barrier_storm_body, ranks=256, args=(8,),
+            flags=_flags(sched_wake_list=wake_list),
+        )
+        switches = res.world.sched_switches
+        assert switches > 0
+        if wake_list:
+            assert evaluations == 0
+        else:
+            assert evaluations > 50 * switches, (evaluations, switches)
 
 
 class TestUnkeyedFallback:

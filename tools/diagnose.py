@@ -8,16 +8,19 @@ For each (build × operation) this prints two receipts:
   (``FeatureFlags.obs_spans``); the quickest way to *see* what eager
   notification removes is the defer row's nonzero gap collapsing to zero
   in the eager row;
-* the **cost view** — the exact sequence of cost-model events on the
-  critical path (the tracer), the "receipt" behind every
-  microbenchmark number.
+* the **cost view** — every cost-model action the operation and its
+  wait charged, with count and virtual ns, read as the difference of
+  the rank's action counters around the op and listed in
+  ``CostAction`` declaration order.  This is the "receipt" behind every
+  microbenchmark number: for these single-word ops its rows sum exactly
+  to the op's elapsed virtual time (no per-byte action is charged).
 
 Usage::
 
     python tools/diagnose.py [machine] [--json]
 
 ``--json`` emits one machine-readable document (per-op spans, gap,
-cost events, and the rank's metrics counters) instead of the text
+cost receipt, and the rank's metrics counters) instead of the text
 report.
 """
 
@@ -36,7 +39,7 @@ from repro import (
 from repro.runtime.config import RuntimeConfig, Version, flags_for
 from repro.runtime.context import set_current_ctx
 from repro.runtime.runtime import build_world
-from repro.sim.trace import Tracer
+from repro.sim.costmodel import CostAction
 
 OPS = {
     "put": lambda: rput(0, new_("u64"), operation_cx.as_future()).wait(),
@@ -53,8 +56,8 @@ VERSIONS = (Version.V2021_3_6_DEFER, Version.V2021_3_6_EAGER)
 
 
 def diagnose(version: Version, machine: str, op: str) -> dict:
-    """Run one warmed-up operation with spans + tracer attached; return
-    the structured receipt."""
+    """Run one warmed-up operation with spans on and the action counters
+    snapshotted around it; return the structured receipt."""
     world = build_world(
         RuntimeConfig(
             version=version,
@@ -66,23 +69,23 @@ def diagnose(version: Version, machine: str, op: str) -> dict:
     ctx = world.contexts[0]
     set_current_ctx(ctx)
     try:
-        OPS[op]()  # warm up allocation paths outside the trace
+        OPS[op]()  # warm up allocation paths outside the receipt
         n_before = len(ctx.obs.spans.spans)
-        tracer = Tracer()
-        tracer.attach(ctx)
+        before = ctx.costs.snapshot()
         t0 = ctx.clock.now_ns
         OPS[op]()
         elapsed = ctx.clock.now_ns - t0
-        tracer.detach(ctx)
+        charged = ctx.costs.snapshot() - before
         # the timed op's span is the first one recorded after the mark
         span = ctx.obs.spans.spans[n_before]
-        events = [
+        costs = [
             {
-                "action": e.action.value,
-                "times": e.times,
-                "cost_ns": ctx.profile.cost_ns(e.action) * e.times,
+                "action": a.value,
+                "count": charged[a],
+                "cost_ns": ctx.profile.cost_ns(a) * charged[a],
             }
-            for e in tracer.events
+            for a in CostAction
+            if charged[a]
         ]
         return {
             "op": op,
@@ -101,7 +104,7 @@ def diagnose(version: Version, machine: str, op: str) -> dict:
                 "t_waited": span.t_waited,
                 "notification_gap_ns": span.notification_gap_ns,
             },
-            "cost_events": events,
+            "costs": costs,
             "counters": dict(ctx.obs.metrics.snapshot().counters),
         }
     finally:
@@ -125,9 +128,9 @@ def render_text(receipt: dict) -> str:
         f"dispatch{_fmt_ts(s['t_dispatched'], t0)}  "
         f"wait{_fmt_ts(s['t_waited'], t0)}",
     ]
-    for e in receipt["cost_events"]:
-        label = e["action"] + (f" x{e['times']}" if e["times"] > 1 else "")
-        lines.append(f"    {e['cost_ns']:7.1f} ns  {label}")
+    for c in receipt["costs"]:
+        label = c["action"] + (f" x{c['count']}" if c["count"] > 1 else "")
+        lines.append(f"    {c['cost_ns']:7.1f} ns  {label}")
     return "\n".join(lines)
 
 

@@ -35,7 +35,18 @@ from repro.memory.segment import TypeSpec, type_spec
 from repro.runtime.context import current_ctx
 from repro.sim.costmodel import CostAction
 
-_AMO_EVENTS = frozenset({Event.OPERATION})
+# Enum members bound once: on Python 3.10/3.11 every ``CostAction.X`` or
+# ``Event.X`` read runs ``EnumType.__getattr__`` (3.12 dropped the hook).
+_OPERATION = Event.OPERATION
+_AMO_CALL_OVERHEAD = CostAction.AMO_CALL_OVERHEAD
+_AMO_CONTENTION_PER_PEER = CostAction.AMO_CONTENTION_PER_PEER
+_CPU_ATOMIC_RMW = CostAction.CPU_ATOMIC_RMW
+_CPU_STORE = CostAction.CPU_STORE
+_HEAP_ALLOC_OP_DESCRIPTOR = CostAction.HEAP_ALLOC_OP_DESCRIPTOR
+_HEAP_FREE = CostAction.HEAP_FREE
+_LOCALITY_BRANCH = CostAction.LOCALITY_BRANCH
+
+_AMO_EVENTS = frozenset({_OPERATION})
 
 #: value-less update ops
 _UPDATE_OPS = frozenset(
@@ -163,7 +174,7 @@ class AtomicDomain:
         comps: Optional[Completions] = None,
     ):
         ctx = current_ctx()
-        ctx.charge(CostAction.AMO_CALL_OVERHEAD)
+        ctx.charge(_AMO_CALL_OVERHEAD)
         self._check(op, target)
         fetching = op in _FETCH_OPS
         if result_into is not None:
@@ -186,18 +197,18 @@ class AtomicDomain:
             ctx,
             comps,
             supported=_AMO_EVENTS,
-            value_event=Event.OPERATION if produces_value else None,
+            value_event=_OPERATION if produces_value else None,
             nvalues=1 if produces_value else 0,
             op_name=f"atomic {op}",
         )
         # the AMO path always performs its (pre-existing) protocol branch;
         # eager support changed nothing on this path (§IV-A)
-        ctx.charge(CostAction.LOCALITY_BRANCH)
+        ctx.charge(_LOCALITY_BRANCH)
         if not ctx.conduit.pshm_reachable(ctx.rank, target.rank):
             # off-node: identical in every build (§IV-A) — per-op state is
             # always allocated for the in-flight operation
-            ctx.charge(CostAction.HEAP_ALLOC_OP_DESCRIPTOR)
-            ctx.charge(CostAction.HEAP_FREE)
+            ctx.charge(_HEAP_ALLOC_OP_DESCRIPTOR)
+            ctx.charge(_HEAP_FREE)
             return self._issue_remote(
                 ctx, disp, op, target, operand, operand2, result_ref,
                 produces_value,
@@ -205,31 +216,31 @@ class AtomicDomain:
         if disp.any_deferred():
             # deferred AMO completion keeps its per-op descriptor (the
             # 2021.3.6 allocation elision applies to RMA only)
-            ctx.charge(CostAction.HEAP_ALLOC_OP_DESCRIPTOR)
-            ctx.charge(CostAction.HEAP_FREE)
+            ctx.charge(_HEAP_ALLOC_OP_DESCRIPTOR)
+            ctx.charge(_HEAP_FREE)
         # on-node: CPU atomic on the shared segment, synchronous.
         # Concurrent atomics from co-located peers contend on cache
         # lines and fences; the penalty scales with the peer count.
         disp.mark_injected(target.rank, target.ts.size, local=True)
         seg = ctx.world.segment_of(target.rank)
-        ctx.charge(CostAction.CPU_ATOMIC_RMW)
+        ctx.charge(_CPU_ATOMIC_RMW)
         peers = ctx.world.ranks_per_node - 1
         if peers > 0:
-            ctx.charge(CostAction.AMO_CONTENTION_PER_PEER, peers)
+            ctx.charge(_AMO_CONTENTION_PER_PEER, peers)
         old = seg.read_scalar(target.offset, target.ts)
         new, fetched = _apply(op, old, operand, operand2, target.ts)
         if new is not None and op != "load":
             seg.write_scalar(target.offset, target.ts, new)
         if result_ref is not None:
-            ctx.charge(CostAction.CPU_STORE)
+            ctx.charge(_CPU_STORE)
             result_ref.segment.write_scalar(
                 result_ref.offset, result_ref.ts, fetched
             )
-            disp.notify_sync(Event.OPERATION)
+            disp.notify_sync(_OPERATION)
         elif produces_value:
-            disp.notify_sync(Event.OPERATION, (fetched,))
+            disp.notify_sync(_OPERATION, (fetched,))
         else:
-            disp.notify_sync(Event.OPERATION)
+            disp.notify_sync(_OPERATION)
         return disp.result()
 
     def _issue_remote(
@@ -237,16 +248,16 @@ class AtomicDomain:
         produces_value,
     ):
         """Off-node AMO: executed by the owner via AM, value in the reply."""
-        pending = disp.pend(Event.OPERATION)
+        pending = disp.pend(_OPERATION)
         initiator = ctx.rank
         ts = target.ts
 
         def on_target(tctx):
             seg = tctx.world.segment_of(target.rank)
-            tctx.charge(CostAction.CPU_ATOMIC_RMW)
+            tctx.charge(_CPU_ATOMIC_RMW)
             peers = tctx.world.ranks_per_node - 1
             if peers > 0:
-                tctx.charge(CostAction.AMO_CONTENTION_PER_PEER, peers)
+                tctx.charge(_AMO_CONTENTION_PER_PEER, peers)
             old = seg.read_scalar(target.offset, ts)
             new, fetched = _apply(op, old, operand, operand2, ts)
             if new is not None and op != "load":
@@ -254,7 +265,7 @@ class AtomicDomain:
 
             def on_reply(ictx, fetched=fetched):
                 if result_ref is not None:
-                    ictx.charge(CostAction.CPU_STORE)
+                    ictx.charge(_CPU_STORE)
                     result_ref.segment.write_scalar(
                         result_ref.offset, result_ref.ts, fetched
                     )

@@ -80,16 +80,33 @@ ENTRY_HEADER_BYTES = 8
 MAX_ENTRIES = 32
 MAX_BYTES = 4096
 
+# Enum members bound once: on Python 3.10/3.11 every ``CostAction.X`` read
+# runs ``EnumType.__getattr__`` (3.12 dropped the hook).
+_AM_AGG_APPEND = CostAction.AM_AGG_APPEND
+_MEMCPY_PER_BYTE = CostAction.MEMCPY_PER_BYTE
 
-@dataclass
+
 class AggEntry:
-    """One small AM parked in a destination buffer awaiting flush."""
+    """One small AM parked in a destination buffer awaiting flush.
 
-    handler: Callable
-    args: tuple
-    nbytes: int
-    #: simulated-clock append time (parking-latency accounting)
-    ts_ns: float = 0.0
+    Slotted for the same reason as :class:`~repro.gasnet.am.ActiveMessage`:
+    an entry waits until its bundle flushes.
+    """
+
+    __slots__ = ("handler", "args", "nbytes", "ts_ns")
+
+    def __init__(
+        self,
+        handler: Callable,
+        args: tuple,
+        nbytes: int,
+        ts_ns: float = 0.0,
+    ):
+        self.handler = handler
+        self.args = args
+        self.nbytes = nbytes
+        #: simulated-clock append time (parking-latency accounting)
+        self.ts_ns = ts_ns
 
 
 @dataclass
@@ -99,10 +116,6 @@ class DestinationBuffer:
     dst_rank: int
     entries: list[AggEntry] = field(default_factory=list)
     payload_bytes: int = 0
-
-    def append(self, entry: AggEntry) -> None:
-        self.entries.append(entry)
-        self.payload_bytes += entry.nbytes
 
     def take(self) -> tuple[list[AggEntry], int]:
         entries, nbytes = self.entries, self.payload_bytes
@@ -209,15 +222,17 @@ class AmAggregator:
         aggregation saves injection overhead — never byte costs.
         """
         ctx = self._ctx
-        ctx.charge(CostAction.AM_AGG_APPEND)
+        ctx.charge(_AM_AGG_APPEND)
         if nbytes:
-            ctx.charge_bytes(CostAction.MEMCPY_PER_BYTE, nbytes)
+            ctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
         buf = self._buffers.get(dst_rank)
         if buf is None:
             buf = self._buffers[dst_rank] = DestinationBuffer(dst_rank)
-        buf.append(AggEntry(handler, args, nbytes, ts_ns=ctx.clock.now_ns))
+        entries = buf.entries
+        entries.append(AggEntry(handler, args, nbytes, ctx.clock.now_ns))
+        buf.payload_bytes += nbytes
         self.appended += 1
-        if len(buf) >= self.max_entries:
+        if len(entries) >= self.max_entries:
             self.flush(dst_rank, reason="entries")
         elif buf.payload_bytes >= self.max_bytes:
             self.flush(dst_rank, reason="bytes")

@@ -10,21 +10,37 @@ observed before it arrives).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable
 
 
-@dataclass
 class ActiveMessage:
-    """One in-flight active message."""
+    """One in-flight active message.
 
-    src_rank: int
-    dst_rank: int
-    handler: Callable  # invoked as handler(dst_ctx, *args)
-    args: tuple
-    nbytes: int
-    arrival_ns: float
-    label: str = "am"
+    Slotted: a message can wait in an inbox until the next barrier, so it
+    carries no per-instance ``__dict__`` (a separate GC-tracked object on
+    Python 3.10) and is built positionally on the send path.
+    """
+
+    __slots__ = ("src_rank", "dst_rank", "handler", "args", "nbytes",
+                 "arrival_ns", "label")
+
+    def __init__(
+        self,
+        src_rank: int,
+        dst_rank: int,
+        handler: Callable,  # invoked as handler(dst_ctx, *args)
+        args: tuple,
+        nbytes: int,
+        arrival_ns: float,
+        label: str = "am",
+    ):
+        self.src_rank = src_rank
+        self.dst_rank = dst_rank
+        self.handler = handler
+        self.args = args
+        self.nbytes = nbytes
+        self.arrival_ns = arrival_ns
+        self.label = label
 
 
 class AmInbox:

@@ -56,6 +56,15 @@ _OFFNODE_FACTOR = {"smp": None, "udp": 20.0, "mpi": 2.0, "ibv": 1.0}
 
 CONDUIT_NAMES = ("smp", "udp", "mpi", "ibv")
 
+# Enum members bound once: on Python 3.10/3.11 every ``CostAction.X`` read
+# runs ``EnumType.__getattr__`` (3.12 dropped the hook).
+_AM_INJECT = CostAction.AM_INJECT
+_AM_POLL = CostAction.AM_POLL
+_AM_EXECUTE = CostAction.AM_EXECUTE
+_AM_BUNDLE_HEADER = CostAction.AM_BUNDLE_HEADER
+_AM_BUNDLE_ENTRY_DISPATCH = CostAction.AM_BUNDLE_ENTRY_DISPATCH
+_MEMCPY_PER_BYTE = CostAction.MEMCPY_PER_BYTE
+
 
 class Conduit:
     """Transport instance shared by all ranks of a world."""
@@ -147,34 +156,32 @@ class Conduit:
         gate).  Eligible off-node AMs are parked in the sender's
         aggregator instead of being injected, when aggregation is on.
         """
-        if not (0 <= dst_rank < self.world.size):
+        nodes = self._node_of
+        if not (0 <= dst_rank < len(nodes)):
             raise UpcxxError(f"AM to invalid rank {dst_rank}")
-        if aggregatable:
+        src_rank = src_ctx.rank
+        # one node-table read serves both aggregation eligibility and the
+        # latency model
+        same_node = nodes[src_rank] == nodes[dst_rank]
+        if aggregatable and not same_node:
             agg = src_ctx.am_agg
-            if agg is not None and not self._same_node(
-                src_ctx.rank, dst_rank
-            ):
+            if agg is not None:
                 agg.append(dst_rank, handler, args, nbytes)
                 return
-        src_ctx.charge(CostAction.AM_INJECT)
+        src_ctx.charge(_AM_INJECT)
         if nbytes:
-            src_ctx.charge_bytes(CostAction.MEMCPY_PER_BYTE, nbytes)
+            src_ctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
         obs = src_ctx.obs
         if obs is not None:
             obs.metrics.counter("conduit.am_injected").inc()
-        arrival = src_ctx.clock.now_ns + self.am_latency_ns(
-            src_ctx.rank, dst_rank, nbytes
-        )
+        if same_node:
+            latency = _PSHM_AM_LATENCY_NS
+        else:
+            latency = self.am_latency_ns(src_rank, dst_rank, nbytes)
+        arrival = src_ctx.clock.now_ns + latency
         self._inboxes[dst_rank].push(
-            ActiveMessage(
-                src_rank=src_ctx.rank,
-                dst_rank=dst_rank,
-                handler=handler,
-                args=args,
-                nbytes=nbytes,
-                arrival_ns=arrival,
-                label=label,
-            )
+            ActiveMessage(src_rank, dst_rank, handler, args, nbytes, arrival,
+                          label)
         )
         self.world.notify_incoming(dst_rank)
 
@@ -196,10 +203,10 @@ class Conduit:
         """
         if not entries:
             return
-        src_ctx.charge(CostAction.AM_BUNDLE_HEADER)
-        src_ctx.charge(CostAction.AM_INJECT)
+        src_ctx.charge(_AM_BUNDLE_HEADER)
+        src_ctx.charge(_AM_INJECT)
         framing = bundle_framing(len(entries))
-        src_ctx.charge_bytes(CostAction.MEMCPY_PER_BYTE, framing)
+        src_ctx.charge_bytes(_MEMCPY_PER_BYTE, framing)
         obs = src_ctx.obs
         if obs is not None:
             obs.metrics.counter("conduit.bundles_sent").inc()
@@ -209,15 +216,8 @@ class Conduit:
             src_ctx.rank, dst_rank, wire_bytes
         )
         self._inboxes[dst_rank].push(
-            ActiveMessage(
-                src_rank=src_ctx.rank,
-                dst_rank=dst_rank,
-                handler=_deliver_bundle,
-                args=(entries,),
-                nbytes=wire_bytes,
-                arrival_ns=arrival,
-                label=f"am_bundle[{len(entries)}]",
-            )
+            ActiveMessage(src_ctx.rank, dst_rank, _deliver_bundle, (entries,),
+                          wire_bytes, arrival, f"am_bundle[{len(entries)}]")
         )
         self.world.notify_incoming(dst_rank)
 
@@ -235,7 +235,7 @@ class Conduit:
         inbox = self._inboxes[ctx.rank]
         if not inbox:
             return False
-        ctx.charge(CostAction.AM_POLL)
+        ctx.charge(_AM_POLL)
         obs = ctx.obs
         if obs is not None:
             obs.metrics.histogram(
@@ -245,7 +245,7 @@ class Conduit:
         while inbox:
             msg = inbox.pop()
             ctx.clock.advance_to(msg.arrival_ns)
-            ctx.charge(CostAction.AM_EXECUTE)
+            ctx.charge(_AM_EXECUTE)
             msg.handler(ctx, *msg.args)
             delivered += 1
         if obs is not None:
@@ -259,7 +259,7 @@ class Conduit:
 def _deliver_bundle(tctx: "RankContext", entries: list["AggEntry"]) -> None:
     """Replay a bundle's entries in append order on the target rank."""
     for entry in entries:
-        tctx.charge(CostAction.AM_BUNDLE_ENTRY_DISPATCH)
+        tctx.charge(_AM_BUNDLE_ENTRY_DISPATCH)
         entry.handler(tctx, *entry.args)
 
 

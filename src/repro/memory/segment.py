@@ -104,16 +104,23 @@ class Segment:
 
     # -- scalar access -----------------------------------------------------
 
+    # The scalar accessors repeat ``_check``'s test inline and call it only
+    # to raise its error: they run once or twice per GUPS update.
+
     def read_scalar(self, offset: int, ts: TypeSpec):
         """Read one ``ts`` element at byte ``offset`` (returns a Python
         scalar)."""
-        self._check(offset, ts.size, ts.size)
-        return self._view(ts)[offset // ts.size].item()
+        size = ts.size
+        if offset < 0 or offset + size > self.size_bytes or offset % size:
+            self._check(offset, size, size)
+        return self._view(ts)[offset // size].item()
 
     def write_scalar(self, offset: int, ts: TypeSpec, value) -> None:
         """Write one ``ts`` element at byte ``offset``."""
-        self._check(offset, ts.size, ts.size)
-        self._view(ts)[offset // ts.size] = value
+        size = ts.size
+        if offset < 0 or offset + size > self.size_bytes or offset % size:
+            self._check(offset, size, size)
+        self._view(ts)[offset // size] = value
 
     # -- array access -------------------------------------------------------
 

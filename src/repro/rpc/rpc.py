@@ -26,12 +26,17 @@ from repro.rpc.serialization import payload_nbytes
 from repro.runtime.context import current_ctx
 from repro.sim.costmodel import CostAction
 
-_RPC_EVENTS = frozenset({Event.OPERATION})
+# Enum members bound once: on Python 3.10/3.11 every ``CostAction.X`` or
+# ``Event.X`` read runs ``EnumType.__getattr__`` (3.12 dropped the hook).
+_OPERATION = Event.OPERATION
+_RPC_SERIALIZE_PER_BYTE = CostAction.RPC_SERIALIZE_PER_BYTE
+
+_RPC_EVENTS = frozenset({_OPERATION})
 
 
 def _charge_serialize(ctx, nbytes: int) -> None:
     if nbytes:
-        ctx.charge_bytes(CostAction.RPC_SERIALIZE_PER_BYTE, nbytes)
+        ctx.charge_bytes(_RPC_SERIALIZE_PER_BYTE, nbytes)
 
 
 def rpc(target: int, fn: Callable, *args,
@@ -53,13 +58,13 @@ def rpc(target: int, fn: Callable, *args,
         ctx,
         comps,
         supported=_RPC_EVENTS,
-        value_event=Event.OPERATION,
+        value_event=_OPERATION,
         nvalues=1,
         op_name="rpc",
     )
     nbytes = payload_nbytes(args)
     _charge_serialize(ctx, nbytes)
-    pending = disp.pend(Event.OPERATION)
+    pending = disp.pend(_OPERATION)
     initiator = ctx.rank
 
     def on_target(tctx):
@@ -117,15 +122,6 @@ def rpc_ff(target: int, fn: Callable, *args) -> None:
         raise UpcxxError(f"rpc_ff target rank {target} out of range")
     nbytes = payload_nbytes(args)
     _charge_serialize(ctx, nbytes)
-
-    def on_target(tctx):
-        try:
-            fn(*args)
-        except Exception as exc:  # noqa: BLE001
-            raise RpcError(
-                f"rpc_ff callback raised on rank {tctx.rank}: {exc!r}"
-            ) from exc
-
     obs = ctx.obs
     span = None
     if obs is not None:
@@ -143,8 +139,25 @@ def rpc_ff(target: int, fn: Callable, *args) -> None:
             ),
         )
     ctx.conduit.send_am(
-        ctx, target, on_target, nbytes=nbytes, label="rpc_ff",
+        ctx, target, _run_ff, (fn, args), nbytes=nbytes, label="rpc_ff",
         aggregatable=True,
     )
     if span is not None:
         span.t_injected = ctx.clock.now_ns
+
+
+def _run_ff(tctx, fn: Callable, args: tuple) -> None:
+    """Target-side handler of :func:`rpc_ff`.
+
+    A module-level function with ``(fn, args)`` as the AM arguments, not a
+    closure per call: a fire-and-forget message can sit in an aggregation
+    buffer or inbox until the next barrier, and a closure would keep four
+    GC-tracked objects (function, cell tuple, two cells) alive that long
+    where the argument pair keeps one.
+    """
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001
+        raise RpcError(
+            f"rpc_ff callback raised on rank {tctx.rank}: {exc!r}"
+        ) from exc

@@ -23,18 +23,28 @@ def payload_nbytes(obj) -> int:
     Raises :class:`~repro.errors.SerializationError` for objects that
     cannot be serialized (e.g. lambdas capturing sockets, open files).
     """
+    if isinstance(obj, (tuple, list)):
+        # an element whose exact type is int, float or bool is one 8-byte
+        # word, sized inline; every other element (subclasses included)
+        # takes the general path
+        total = 8
+        for x in obj:
+            cls = type(x)
+            if cls is int or cls is float or cls is bool:
+                total += 8
+            else:
+                total += payload_nbytes(x)
+        return total
     if obj is None:
         return 0
-    if isinstance(obj, (bytes, bytearray, memoryview)):
+    if isinstance(obj, (bytes, bytearray)):
         return len(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (memoryview, np.ndarray)):
         return obj.nbytes
     if isinstance(obj, (int, float, bool)):
         return 8
     if isinstance(obj, str):
         return len(obj.encode("utf-8"))
-    if isinstance(obj, (tuple, list)):
-        return sum(payload_nbytes(x) for x in obj) + 8
     if isinstance(obj, dict):
         return (
             sum(

@@ -1,13 +1,85 @@
 """Tests for RPC, rpc_ff, and payload-size accounting."""
 
+import enum
+import gc
+import pickle
+from array import array
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import barrier, new_, progress, rank_me, rget, rpc, rpc_ff, rput
 from repro.errors import RpcError, SerializationError, UpcxxError
+from repro.gasnet.aggregator import MAX_ENTRIES
 from repro.memory.global_ptr import GlobalPtr
 from repro.rpc.serialization import payload_nbytes
-from repro.runtime.runtime import spmd_run
+from repro.runtime.config import RuntimeConfig, Version, flags_for
+from repro.runtime.context import current_ctx, set_current_ctx
+from repro.runtime.runtime import build_world, spmd_run
+
+
+def _reference_nbytes(obj) -> int:
+    """The recursive ``payload_nbytes`` that the exact-type fast path for
+    tuple and list elements replaced, kept verbatim as the oracle."""
+    if obj is None:
+        return 0
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return len(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (int, float, bool)):
+        return 8
+    if isinstance(obj, str):
+        return len(obj.encode("utf-8"))
+    if isinstance(obj, (tuple, list)):
+        return sum(_reference_nbytes(x) for x in obj) + 8
+    if isinstance(obj, dict):
+        return (
+            sum(
+                _reference_nbytes(k) + _reference_nbytes(v)
+                for k, v in obj.items()
+            )
+            + 8
+        )
+    try:
+        return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+    except Exception as exc:  # noqa: BLE001 - converted to domain error
+        raise SerializationError(
+            f"cannot serialize RPC payload of type {type(obj).__name__}: {exc}"
+        ) from exc
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+_LEAVES = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.sampled_from(list(_Color)),
+    st.floats(allow_nan=False).map(np.float64),  # a float subclass
+    st.integers(min_value=0, max_value=2**64 - 1).map(np.uint64),  # pickled
+    st.lists(st.integers(min_value=-(2**31), max_value=2**31), max_size=4)
+    .map(lambda xs: np.array(xs, dtype=np.int64)),
+)
+_KEYS = st.one_of(st.integers(), st.text(max_size=4), st.booleans(),
+                  st.sampled_from(list(_Color)))
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+    ),
+    max_leaves=20,
+)
 
 
 class TestSerialization:
@@ -40,6 +112,23 @@ class TestSerialization:
     def test_unserializable_rejected(self):
         with pytest.raises(SerializationError):
             payload_nbytes(lambda x: x)  # lambdas don't pickle
+
+    def test_memoryview_sized_in_bytes(self):
+        """A memoryview ships its bytes, not its element count."""
+        assert payload_nbytes(memoryview(array("d", [1.0, 2.0]))) == 16
+        assert payload_nbytes(memoryview(b"abc")) == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_PAYLOADS)
+    def test_matches_reference_recursion(self, payload):
+        assert payload_nbytes(payload) == _reference_nbytes(payload)
+        assert payload_nbytes((payload,)) == _reference_nbytes((payload,))
+
+    def test_lambda_in_tuple_rejected_like_reference(self):
+        payload = (1, 2.0, lambda x: x)
+        for size in (payload_nbytes, _reference_nbytes):
+            with pytest.raises(SerializationError, match="function"):
+                size(payload)
 
 
 class TestRpc:
@@ -130,6 +219,53 @@ class TestRpc:
 
         res = spmd_run(body, ranks=2)
         assert res.values[1] == 77
+
+    def test_rpc_ff_exception_direct_path_names_target(self):
+        """A raising rpc_ff callback on the direct on-node AM path surfaces
+        as RpcError naming the target rank and the original exception."""
+
+        def boom(x):
+            raise ValueError(f"ff failure {x}")
+
+        def body():
+            if rank_me() == 0:
+                rpc_ff(1, boom, 7)
+                assert current_ctx().conduit.pending_for(1) == 1
+            barrier()
+            progress()
+            barrier()
+
+        with pytest.raises(RpcError) as info:
+            spmd_run(body, ranks=2)
+        assert "rpc_ff callback raised on rank 1" in str(info.value)
+        assert "ValueError('ff failure 7')" in str(info.value)
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_rpc_ff_exception_bundled_path_names_target(self):
+        """The same failure, parked in an aggregation buffer off-node and
+        replayed from a bundle on the target."""
+
+        def boom(x):
+            raise ValueError(f"ff failure {x}")
+
+        def body():
+            if rank_me() == 0:
+                rpc_ff(2, boom, 9)
+                assert current_ctx().am_agg.pending_entries(2) == 1
+            barrier()
+            progress()
+            barrier()
+
+        flags = flags_for(Version.V2021_3_6_EAGER).replace(
+            am_aggregation=True
+        )
+        with pytest.raises(RpcError) as info:
+            spmd_run(body, ranks=4, n_nodes=2, conduit="ibv", flags=flags)
+        assert "rpc_ff callback raised on rank 2" in str(info.value)
+        assert "ValueError('ff failure 9')" in str(info.value)
+        assert isinstance(info.value.__cause__, ValueError)
+        frames = {entry.name for entry in info.traceback}
+        assert "_deliver_bundle" in frames
 
     def test_rpc_ff_invalid_target(self):
         def body():
@@ -226,3 +362,60 @@ class TestRpcCompletions:
                 rpc(0, lambda: 1, comps=remote_cx.as_rpc(lambda: None))
 
         spmd_run(body, ranks=1)
+
+
+def _ff_noop(offset, ran):
+    pass
+
+
+class TestParkedMessages:
+    """Each rpc_ff send leaves exactly three GC-tracked objects alive until
+    delivery: the argument tuple, the ``(fn, args)`` pair and the slotted
+    AM record.  Thousands of messages wait in buffers and inboxes until the
+    next barrier, so every tracked object they hold lengthens each GC
+    pass."""
+
+    def _growth_per_send(self, dst, *, aggregation, n_nodes):
+        flags = flags_for(Version.V2021_3_6_EAGER).replace(
+            am_aggregation=aggregation
+        )
+        world = build_world(
+            RuntimeConfig(conduit="ibv", flags=flags), ranks=4,
+            n_nodes=n_nodes,
+        )
+        ctx = world.contexts[0]
+        set_current_ctx(ctx)
+        try:
+            rpc_ff(dst, _ff_noop, 0, 0.5)  # warm up lazily built state
+            counts = []
+            sent = 1
+            gc.disable()
+            try:
+                for target in (8, 16, 24):
+                    while sent <= target:
+                        rpc_ff(dst, _ff_noop, sent, 0.5)
+                        sent += 1
+                    counts.append(len(gc.get_objects()))
+            finally:
+                gc.enable()
+        finally:
+            set_current_ctx(None)
+        assert sent <= MAX_ENTRIES  # no threshold flush in the window
+        return world, [(b - a) / 8 for a, b in zip(counts, counts[1:])]
+
+    def test_aggregated_offnode(self):
+        world, slopes = self._growth_per_send(2, aggregation=True, n_nodes=2)
+        assert world.contexts[0].am_agg.pending_entries(2) == 25
+        assert slopes == [3.0, 3.0]
+
+    def test_direct_onnode(self):
+        world, slopes = self._growth_per_send(1, aggregation=True, n_nodes=2)
+        assert world.conduit.pending_for(1) == 25
+        assert slopes == [3.0, 3.0]
+
+    def test_unaggregated_offnode(self):
+        world, slopes = self._growth_per_send(
+            2, aggregation=False, n_nodes=2
+        )
+        assert world.conduit.pending_for(2) == 25
+        assert slopes == [3.0, 3.0]

@@ -46,7 +46,7 @@ _HEAP_ALLOC_OP_DESCRIPTOR = CostAction.HEAP_ALLOC_OP_DESCRIPTOR
 _HEAP_FREE = CostAction.HEAP_FREE
 _LOCALITY_BRANCH = CostAction.LOCALITY_BRANCH
 
-_AMO_EVENTS = frozenset({_OPERATION})
+_AMO_EVENTS = (_OPERATION,)
 
 #: value-less update ops
 _UPDATE_OPS = frozenset(
@@ -291,6 +291,10 @@ class AtomicDomain:
         if isinstance(dest, LocalRef):
             return dest
         if isinstance(dest, GlobalPtr):
+            if dest.is_null:
+                raise InvalidGlobalPointer(
+                    "fetch-into destination is a null global pointer"
+                )
             if not ctx.is_local_rank(dest.rank):
                 raise AtomicDomainError(
                     "fetch-into destination must be locally addressable"

@@ -113,9 +113,10 @@ class PromiseCell:
         return False
 
     def _fire(self) -> None:
+        # only ``fulfill`` calls this, once it has checked readiness
         cbs, self.callbacks = self.callbacks, None
         if cbs:
-            vals = self.result_tuple()
+            vals = self.values if self.values is not None else ()
             for cb in cbs:
                 cb(vals)
 

@@ -430,7 +430,9 @@ class CxDispatcher:
     comps:
         The user's :class:`Completions` (or an op-supplied default).
     supported:
-        Events this operation supports (e.g. gets have no remote event).
+        Events this operation supports (e.g. gets have no remote event), as
+        a tuple: membership is then an identity test, where a set probe
+        would call the Python-level ``Enum.__hash__``.
     value_event:
         The event that carries the operation's produced values (``None``
         for value-less operations); ``nvalues`` is the arity.
@@ -441,7 +443,7 @@ class CxDispatcher:
         ctx: "RankContext",
         comps: Completions,
         *,
-        supported: frozenset[Event] | set[Event],
+        supported: tuple[Event, ...],
         value_event: Optional[Event] = None,
         nvalues: int = 0,
         op_name: str = "operation",
@@ -453,11 +455,17 @@ class CxDispatcher:
         self._futures: list[Future] = []
         ctx.charge(_COMPLETION_PROCESS)
         flags = ctx.flags
+        wants_source = wants_remote = False
         for req in comps.requests:
-            if req.event not in supported:
+            event = req.event
+            if event not in supported:
                 raise CompletionError(
-                    f"{op_name} does not support {req.event.value} completion"
+                    f"{op_name} does not support {event.value} completion"
                 )
+            if event is _SOURCE:
+                wants_source = True
+            elif event is _REMOTE:
+                wants_remote = True
             if (
                 req.eagerness != _DEFAULT
                 and not flags.eager_factories_available
@@ -475,6 +483,10 @@ class CxDispatcher:
                     f"FeatureFlags.cx_continuations "
                     f"(build is {ctx.config.version.value})"
                 )
+        #: whether any request waits on the source / remote event (an
+        #: operation with none skips that notification)
+        self.wants_source = wants_source
+        self.wants_remote = wants_remote
         obs = ctx.obs
         self._span: Optional["OpSpan"] = (
             obs.begin_span(
@@ -508,9 +520,6 @@ class CxDispatcher:
             return False
         return self.ctx.flags.eager_notification
 
-    def _values_for(self, event: Event, values: tuple) -> tuple:
-        return values if event is self.value_event else ()
-
     def any_deferred(self) -> bool:
         """Whether any requested notification will take the deferred path
         even for a synchronously completing operation."""
@@ -532,7 +541,7 @@ class CxDispatcher:
         call.
         """
         ctx = self.ctx
-        vals = self._values_for(event, values)
+        vals = values if event is self.value_event else ()
         # observability: the transfer is complete *now* for the operation
         # event; each request's branch below closes the notification at the
         # instant it becomes user-visible (immediately for eager, from the
@@ -553,17 +562,22 @@ class CxDispatcher:
                         ctx.obs.close_notification(span, ctx.clock.now_ns)
                 else:
                     cell = alloc_cell(ctx, nvalues=len(vals), deps=1)
+                    if vals or span is not None:
 
-                    def ready_it(cell=cell, vals=vals, note=span):
-                        if cell.nvalues:
-                            cell.values = vals
-                        cell.fulfill()
-                        if note is not None:
-                            ctx.obs.close_notification(
-                                note, ctx.clock.now_ns
-                            )
+                        def ready_it(cell=cell, vals=vals, note=span):
+                            if cell.nvalues:
+                                cell.values = vals
+                            cell.fulfill()
+                            if note is not None:
+                                ctx.obs.close_notification(
+                                    note, ctx.clock.now_ns
+                                )
 
-                    ctx.progress_engine.enqueue_deferred(ready_it)
+                        ctx.progress_engine.enqueue_deferred(ready_it)
+                    else:
+                        # nothing to store or stamp: the deferred
+                        # notification is the fulfillment itself
+                        ctx.progress_engine.enqueue_deferred(cell.fulfill)
                     self._futures.append(Future(cell))
             elif req.kind == _PROMISE:
                 if self._eager_allowed(req):

@@ -81,35 +81,50 @@ def _build_conjoined(ctx, futures: list[Future]) -> Future:
     result = alloc_cell(
         ctx, nvalues=total_values, deps=max(1, len(pending))
     )
-
-    def finish() -> None:
-        if total_values:
-            vals: list = []
-            for f in futures:
-                vals.extend(f._cell.result_tuple())
-            result.values = tuple(vals)
-        # else: values stays () from construction
+    node = _Vertex(ctx, futures, result, total_values, len(pending))
 
     if not pending:
         # inputs all ready but shortcuts disabled (or value-bearing):
         # the graph node still gets built, then resolves immediately.
         ctx.charge(_DEP_GRAPH_RESOLVE_EDGE, len(futures))
-        finish()
+        node.finish()
         result.fulfill(1)
         return Future(result)
 
-    remaining = len(pending)
-
-    def on_input_ready(_vals: tuple) -> None:
-        nonlocal remaining
-        ctx.charge(_DEP_GRAPH_RESOLVE_EDGE)
-        remaining -= 1
-        if remaining == 0:
-            finish()
-        result.fulfill(1)
-
+    on_input_ready = node.on_input_ready
     for f in pending:
         f._cell.add_callback(on_input_ready)
     # edges to already-ready inputs are resolved at construction time
     ctx.charge(_DEP_GRAPH_RESOLVE_EDGE, len(futures) - len(pending))
     return Future(result)
+
+
+class _Vertex:
+    """One dependency-graph vertex: readies ``result`` once its last
+    pending input readies (slotted, so a vertex is one small object where
+    two closures and their cells used to be)."""
+
+    __slots__ = ("ctx", "futures", "result", "total_values", "remaining")
+
+    def __init__(self, ctx, futures: list[Future], result, total_values: int,
+                 remaining: int):
+        self.ctx = ctx
+        self.futures = futures
+        self.result = result
+        self.total_values = total_values
+        self.remaining = remaining
+
+    def finish(self) -> None:
+        if self.total_values:
+            vals: list = []
+            for f in self.futures:
+                vals.extend(f._cell.result_tuple())
+            self.result.values = tuple(vals)
+        # else: values stays () from construction
+
+    def on_input_ready(self, _vals: tuple) -> None:
+        self.ctx.charge(_DEP_GRAPH_RESOLVE_EDGE)
+        self.remaining -= 1
+        if self.remaining == 0:
+            self.finish()
+        self.result.fulfill(1)

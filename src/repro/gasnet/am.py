@@ -1,15 +1,16 @@
 """Active messages: the asynchronous transport under every conduit.
 
 An :class:`ActiveMessage` is a handler plus arguments injected into a
-target rank's inbox with an arrival timestamp; the target executes it from
-inside its progress engine.  Delivery advances the receiver's virtual clock
-to at least the arrival time (conservative causality: a message cannot be
-observed before it arrives).
+target rank's inbox (a FIFO ``collections.deque`` owned by the conduit:
+arrival order is injection order, like GASNet's default ordered transport)
+with an arrival timestamp; the target executes it from inside its progress
+engine.  Delivery advances the receiver's virtual clock to at least the
+arrival time (conservative causality: a message cannot be observed before
+it arrives).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 
@@ -41,25 +42,3 @@ class ActiveMessage:
         self.nbytes = nbytes
         self.arrival_ns = arrival_ns
         self.label = label
-
-
-class AmInbox:
-    """FIFO inbox of one rank (arrival order == injection order; the
-    simulated transport is ordered, like GASNet's default)."""
-
-    __slots__ = ("_queue",)
-
-    def __init__(self) -> None:
-        self._queue: deque[ActiveMessage] = deque()
-
-    def push(self, msg: ActiveMessage) -> None:
-        self._queue.append(msg)
-
-    def pop(self) -> ActiveMessage:
-        return self._queue.popleft()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __bool__(self) -> bool:
-        return bool(self._queue)

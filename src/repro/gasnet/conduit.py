@@ -33,10 +33,11 @@ AM via :meth:`Conduit.send_bundle`.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import UpcxxError
-from repro.gasnet.am import ActiveMessage, AmInbox
+from repro.gasnet.am import ActiveMessage
 from repro.gasnet.aggregator import bundle_framing
 from repro.obs.metrics import DEPTH_EDGES
 from repro.sim.costmodel import CostAction
@@ -84,7 +85,10 @@ class Conduit:
             )
         self.name = name
         self.world = world
-        self._inboxes = [AmInbox() for _ in range(world.size)]
+        #: per-rank FIFO inboxes (arrival order is injection order)
+        self._inboxes: list[deque[ActiveMessage]] = [
+            deque() for _ in range(world.size)
+        ]
         if name == "smp" and world.n_nodes != 1:
             raise UpcxxError(
                 "the smp conduit supports single-node worlds only"
@@ -179,7 +183,7 @@ class Conduit:
         else:
             latency = self.am_latency_ns(src_rank, dst_rank, nbytes)
         arrival = src_ctx.clock.now_ns + latency
-        self._inboxes[dst_rank].push(
+        self._inboxes[dst_rank].append(
             ActiveMessage(src_rank, dst_rank, handler, args, nbytes, arrival,
                           label)
         )
@@ -215,7 +219,7 @@ class Conduit:
         arrival = src_ctx.clock.now_ns + self.am_latency_ns(
             src_ctx.rank, dst_rank, wire_bytes
         )
-        self._inboxes[dst_rank].push(
+        self._inboxes[dst_rank].append(
             ActiveMessage(src_ctx.rank, dst_rank, _deliver_bundle, (entries,),
                           wire_bytes, arrival, f"am_bundle[{len(entries)}]")
         )
@@ -243,7 +247,7 @@ class Conduit:
             ).record(len(inbox))
         delivered = 0
         while inbox:
-            msg = inbox.pop()
+            msg = inbox.popleft()
             ctx.clock.advance_to(msg.arrival_ns)
             ctx.charge(_AM_EXECUTE)
             msg.handler(ctx, *msg.args)

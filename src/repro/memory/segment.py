@@ -6,6 +6,11 @@ movement in every experiment is real: an ``rput`` writes bytes into the
 target rank's segment and a subsequent ``rget`` (or local load) observes
 them.
 
+Single elements move through typed ``memoryview`` casts of the buffer (a
+Python-level element access is several times cheaper there than a numpy
+scalar access); bulk copies and the aliasing views move through numpy.
+Both see the same bytes.
+
 Typed access is mediated by :class:`TypeSpec`, a small registry of the
 fixed-width element types the runtime supports (the paper's experiments use
 64-bit payloads throughout).
@@ -50,6 +55,12 @@ _TYPES: dict[str, TypeSpec] = {
 }
 
 
+#: ``struct`` format of each registered type's memoryview cast (native
+#: order and size, which are numpy's for these dtypes)
+_MV_FORMATS = {"i64": "q", "u64": "Q", "f64": "d", "i32": "i", "u32": "I",
+               "u8": "B"}
+
+
 def type_spec(name: str | TypeSpec) -> TypeSpec:
     """Resolve a type name (or pass through a :class:`TypeSpec`)."""
     if isinstance(name, TypeSpec):
@@ -81,6 +92,9 @@ class Segment:
         self._buf = np.zeros(size_bytes, dtype=np.uint8)
         # cached per-dtype full-buffer views (offset indexing divides by size)
         self._views: dict[str, np.ndarray] = {}
+        # per-type memoryviews of the same bytes, for single elements
+        raw = memoryview(self._buf)
+        self._scalars = {name: raw.cast(f) for name, f in _MV_FORMATS.items()}
 
     # -- bounds / alignment ----------------------------------------------
 
@@ -105,7 +119,10 @@ class Segment:
     # -- scalar access -----------------------------------------------------
 
     # The scalar accessors repeat ``_check``'s test inline and call it only
-    # to raise its error: they run once or twice per GUPS update.
+    # to raise its error: they run once or twice per GUPS update.  Whatever
+    # the memoryview does not take (an unregistered TypeSpec, a non-int
+    # offset, a value other than an exact int or an f64 float, a value out
+    # of range) goes to numpy, so results and errors are numpy's.
 
     def read_scalar(self, offset: int, ts: TypeSpec):
         """Read one ``ts`` element at byte ``offset`` (returns a Python
@@ -113,13 +130,23 @@ class Segment:
         size = ts.size
         if offset < 0 or offset + size > self.size_bytes or offset % size:
             self._check(offset, size, size)
-        return self._view(ts)[offset // size].item()
+        try:
+            return self._scalars[ts.name][offset // size]
+        except (KeyError, TypeError):
+            return self._view(ts)[offset // size].item()
 
     def write_scalar(self, offset: int, ts: TypeSpec, value) -> None:
         """Write one ``ts`` element at byte ``offset``."""
         size = ts.size
         if offset < 0 or offset + size > self.size_bytes or offset % size:
             self._check(offset, size, size)
+        cls = type(value)
+        if cls is int or (cls is float and ts.name == "f64"):
+            try:
+                self._scalars[ts.name][offset // size] = value
+                return
+            except (KeyError, TypeError, ValueError):
+                pass
         self._view(ts)[offset // size] = value
 
     # -- array access -------------------------------------------------------

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-import numpy as np
-
 from repro.core.completions import Completions, CxDispatcher, operation_cx
 from repro.core.events import Event
 from repro.errors import InvalidGlobalPointer, LocalityError
@@ -40,7 +38,7 @@ _MEMCPY_8B = CostAction.MEMCPY_8B
 _MEMCPY_PER_BYTE = CostAction.MEMCPY_PER_BYTE
 _LOCALITY_BRANCH = CostAction.LOCALITY_BRANCH
 
-_GET_EVENTS = frozenset({_SOURCE, _OPERATION})
+_GET_EVENTS = (_SOURCE, _OPERATION)
 
 
 def rget(src: GlobalPtr, comps: Optional[Completions] = None):
@@ -100,14 +98,19 @@ def rget_into(
             ctx.charge(_HEAP_FREE)
         ctx.charge(_GPTR_DOWNCAST)
         disp.mark_injected(src.rank, nbytes, local=True)
-        data = ctx.world.segment_of(src.rank).read_array(
-            src.offset, src.ts, count
-        )
-        if nbytes <= 8:
+        seg = ctx.world.segment_of(src.rank)
+        if count == 1 and dest_ref.ts is src.ts:
+            # one element, no conversion: skip the array round trip
+            value = seg.read_scalar(src.offset, src.ts)
             ctx.charge(_MEMCPY_8B)
+            dest_ref.segment.write_scalar(dest_ref.offset, dest_ref.ts, value)
         else:
-            ctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
-        dest_ref.segment.write_array(dest_ref.offset, dest_ref.ts, data)
+            data = seg.read_array(src.offset, src.ts, count)
+            if nbytes <= 8:
+                ctx.charge(_MEMCPY_8B)
+            else:
+                ctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
+            dest_ref.segment.write_array(dest_ref.offset, dest_ref.ts, data)
         disp.notify_sync(_OPERATION)
         return disp.result()
     return _remote_get(ctx, disp, src, count=count, dest=dest_ref)
@@ -152,6 +155,8 @@ def _resolve_dest(ctx, dest: Union[GlobalPtr, LocalRef]) -> LocalRef:
     if isinstance(dest, LocalRef):
         return dest
     if isinstance(dest, GlobalPtr):
+        if dest.is_null:
+            raise InvalidGlobalPointer("rget_into to a null global pointer")
         if not ctx.is_local_rank(dest.rank):
             raise LocalityError(
                 "rget_into destination must be locally addressable"

@@ -33,7 +33,8 @@ _MEMCPY_PER_BYTE = CostAction.MEMCPY_PER_BYTE
 _LOCALITY_BRANCH = CostAction.LOCALITY_BRANCH
 _RMA_CALL_OVERHEAD = CostAction.RMA_CALL_OVERHEAD
 
-_PUT_EVENTS = frozenset({_SOURCE, _REMOTE, _OPERATION})
+_PUT_EVENTS = (_SOURCE, _REMOTE, _OPERATION)
+_SCALAR_TYPES = (int, float)
 
 
 def _ship_remote_rpcs(ctx, disp: CxDispatcher, dest_rank: int) -> None:
@@ -53,21 +54,25 @@ def _ship_remote_rpcs(ctx, disp: CxDispatcher, dest_rank: int) -> None:
         )
 
 
-def _local_put(ctx, disp: CxDispatcher, dest: GlobalPtr, write, nbytes: int):
-    """Shared-memory-bypass path: synchronous data movement."""
+def _local_put(ctx, disp: CxDispatcher, dest: GlobalPtr, write, data,
+               nbytes: int):
+    """Shared-memory-bypass path: synchronous data movement (``write`` is
+    the target segment's ``write_scalar`` or ``write_array``)."""
     if not ctx.flags.elide_local_rma_alloc:
         # 2021.3.0: extra op-descriptor allocation even for local targets
         ctx.charge(_HEAP_ALLOC_OP_DESCRIPTOR)
         ctx.charge(_HEAP_FREE)
     ctx.charge(_GPTR_DOWNCAST)
     disp.mark_injected(dest.rank, nbytes, local=True)
-    write()
+    write(dest.offset, dest.ts, data)
     if nbytes <= 8:
         ctx.charge(_MEMCPY_8B)
     else:
         ctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
-    _ship_remote_rpcs(ctx, disp, dest.rank)
-    disp.notify_sync(_SOURCE)
+    if disp.wants_remote:
+        _ship_remote_rpcs(ctx, disp, dest.rank)
+    if disp.wants_source:
+        disp.notify_sync(_SOURCE)
     disp.notify_sync(_OPERATION)
     return disp.result()
 
@@ -79,13 +84,15 @@ def _remote_put(ctx, disp: CxDispatcher, dest: GlobalPtr, payload, nbytes: int):
         ctx.charge(_LOCALITY_BRANCH)
     ctx.charge(_HEAP_ALLOC_OP_DESCRIPTOR)
     ctx.charge(_HEAP_FREE)
-    disp.notify_sync(_SOURCE)  # payload captured at injection
+    if disp.wants_source:
+        disp.notify_sync(_SOURCE)  # payload captured at injection
     pending = disp.pend(_OPERATION)
-    rpc_reqs = disp.rpc_requests()
+    rpc_reqs = disp.rpc_requests() if disp.wants_remote else ()
     initiator = ctx.rank
 
     def on_target(tctx, dest=dest, payload=payload):
-        if np.ndim(payload) == 0:
+        # the exact-type test spares an int or float the np.ndim call
+        if type(payload) in _SCALAR_TYPES or np.ndim(payload) == 0:
             tctx.world.segment_of(dest.rank).write_scalar(
                 dest.offset, dest.ts, payload
             )
@@ -129,11 +136,7 @@ def rput(value, dest: GlobalPtr, comps: Optional[Completions] = None):
     if dest.is_local(ctx):
         seg = ctx.world.segment_of(dest.rank)
         return _local_put(
-            ctx,
-            disp,
-            dest,
-            lambda: seg.write_scalar(dest.offset, dest.ts, value),
-            dest.ts.size,
+            ctx, disp, dest, seg.write_scalar, value, dest.ts.size
         )
     return _remote_put(ctx, disp, dest, value, dest.ts.size)
 
@@ -158,12 +161,6 @@ def rput_bulk(values, dest: GlobalPtr, comps: Optional[Completions] = None):
     nbytes = arr.size * dest.ts.size
     if dest.is_local(ctx):
         seg = ctx.world.segment_of(dest.rank)
-        return _local_put(
-            ctx,
-            disp,
-            dest,
-            lambda: seg.write_array(dest.offset, dest.ts, arr),
-            nbytes,
-        )
+        return _local_put(ctx, disp, dest, seg.write_array, arr, nbytes)
     # the payload is captured by value at injection (source completes now)
     return _remote_put(ctx, disp, dest, arr.copy(), nbytes)

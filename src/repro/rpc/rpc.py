@@ -31,7 +31,7 @@ from repro.sim.costmodel import CostAction
 _OPERATION = Event.OPERATION
 _RPC_SERIALIZE_PER_BYTE = CostAction.RPC_SERIALIZE_PER_BYTE
 
-_RPC_EVENTS = frozenset({_OPERATION})
+_RPC_EVENTS = (_OPERATION,)
 
 
 def _charge_serialize(ctx, nbytes: int) -> None:

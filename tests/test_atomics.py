@@ -237,6 +237,20 @@ class TestDomainRules:
         with pytest.raises(InvalidGlobalPointer):
             ad.add(GlobalPtr.NULL, 1)
 
+    @pytest.mark.parametrize(
+        "op, operands",
+        [("fetch_add", (1,)), ("load", ()), ("compare_exchange", (5, 8))]
+        + FETCH_OPS,
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_null_into_destination(self, ctx, ad, op, operands):
+        """Every ``*_into`` op rejects a null result pointer before it
+        touches the target."""
+        g = new_("u64", 5)
+        with pytest.raises(InvalidGlobalPointer, match="null"):
+            getattr(ad, op + "_into")(g, *operands, GlobalPtr.NULL)
+        assert ad.load(g).wait() == 5
+
     def test_use_after_destroy(self, ctx, ad):
         g = new_("u64")
         ad.destroy()

@@ -1,12 +1,15 @@
-"""The gain rule and the no-regression verdict of ``tools/perf_pairs.py``
-on synthetic pair results."""
+"""The gain rule, the no-regression verdict and the JSON summary line of
+``tools/perf_pairs.py`` on synthetic pair results."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).parent.parent / "tools" / "perf_pairs.py"
+_ROOT = Path(__file__).parent.parent
+_PATH = _ROOT / "tools" / "perf_pairs.py"
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +107,60 @@ def test_verdict_wide_spread_resolved_when_every_run_wins(verdict,
     noisy = [x * 3.0 + 200.0 * (i % 2) for i, x in enumerate(BASE)]
     assert perf_pairs.spread(noisy) > BOUND
     assert verdict(BASE, noisy, "higher", BOUND) == "no regression"
+
+
+def _git_repo_with_spec(path: Path) -> Path:
+    """A one-commit repository holding the repo's ``BENCHMARK.json``."""
+    path.mkdir()
+    (path / "BENCHMARK.json").write_text(
+        (_ROOT / "BENCHMARK.json").read_text())
+    for args in (("init", "-q"), ("add", "BENCHMARK.json"),
+                 ("commit", "-q", "-m", "spec")):
+        subprocess.run(["git", "-c", "user.name=t", "-c",
+                        "user.email=t@example.com", *args],
+                       cwd=path, check=True, capture_output=True)
+    return path
+
+
+def test_last_line_is_the_json_summary(perf_pairs, tmp_path, monkeypatch,
+                                       capsys):
+    """The output ends with one JSON line holding every run and, per
+    metric, the values, quartiles, ratios, wins, gain rule and verdict;
+    the base side runs in an export of the base revision."""
+    repo = _git_repo_with_spec(tmp_path / "repo")
+    calls = []
+
+    def fake_run(tree, workload, seed):
+        side = "change" if Path(tree).resolve() == repo.resolve() else "base"
+        calls.append((side, (Path(tree) / "BENCHMARK.json").is_file()))
+        n = sum(1 for s, _ in calls if s == side)
+        ops = (150.0 if side == "change" else 100.0) + n
+        return {"correct": True, "returncode": 0, "metrics": {
+            "sim_ops_per_s": {"value": ops}, "setup_s": {"value": 0.2},
+            "peak_rss_mb": {"value": 40.0}}}
+
+    monkeypatch.setattr(perf_pairs, "run_once", fake_run)
+    monkeypatch.chdir(repo)
+    assert perf_pairs.main(["--base", "HEAD", "--workload", "w",
+                            "--pairs", "4", "--seed", "3"]) == 0
+    assert all(exported for _, exported in calls)
+    doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert (doc["workload"], doc["seed"], doc["pairs"]) == ("w", 3, 4)
+    assert [(r["pair"], r["side"]) for r in doc["runs"]] == [
+        (1, "base"), (1, "change"), (2, "change"), (2, "base"),
+        (3, "base"), (3, "change"), (4, "change"), (4, "base")]
+    assert doc["runs"][0]["metrics"]["sim_ops_per_s"] == 101.0
+    ops = doc["metrics"]["sim_ops_per_s"]
+    assert ops["base_values"] == [101.0, 102.0, 103.0, 104.0]
+    assert ops["change_values"] == [151.0, 152.0, 153.0, 154.0]
+    assert ops["wins"] == 4 and ops["gain"]
+    assert ops["verdict"] == "no regression"
+    assert ops["ratios"] == pytest.approx([151 / 101, 152 / 102, 153 / 103,
+                                           154 / 104])
+    assert ops["base_median"] == ops["base_quartiles"][1] == 102.5
+    setup = doc["metrics"]["setup_s"]
+    assert setup["wins"] == 0 and not setup["gain"]
+    assert setup["verdict"] == "no regression"
+    assert set(doc["metrics"]) == {
+        m["name"] for m in json.loads(
+            (_ROOT / "BENCHMARK.json").read_text())["end_to_end"]}

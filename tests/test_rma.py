@@ -7,9 +7,12 @@ cost structure differ (those are pinned in test_rma_semantics.py).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     Promise,
+    delete_,
     new_,
     new_array,
     operation_cx,
@@ -59,6 +62,24 @@ class TestScalarOps:
         assert dst.local().read() == 5
 
 
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(["i64", "u64", "f64", "i32", "u32", "u8"]),
+       raw=st.binary(min_size=8, max_size=8))
+def test_get_into_one_element_copies_bytes_exactly(name, raw):
+    """A one-element ``rget_into`` copies the element's bytes exactly, for
+    every type and content (NaN payloads and the sign of zero included)."""
+    src, dst = new_array(name, 1), new_array(name, 1)
+    try:
+        size = src.ts.size
+        src.local().segment.write_bytes(src.offset, raw[:size])
+        rget_into(src, dst, 1).wait()
+        seg = dst.local().segment
+        assert seg.read_bytes(dst.offset, size) == raw[:size]
+    finally:
+        delete_(src)
+        delete_(dst)
+
+
 @pytest.mark.parametrize("version", ALL_VERSIONS)
 class TestBulkOps:
     def test_put_bulk(self, versioned_ctx, version):
@@ -90,6 +111,12 @@ class TestValidation:
     def test_null_get(self, ctx):
         with pytest.raises(InvalidGlobalPointer):
             rget(GlobalPtr.NULL)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_null_get_into_destination(self, ctx, count):
+        src = new_array("u64", 3)
+        with pytest.raises(InvalidGlobalPointer, match="null"):
+            rget_into(src, GlobalPtr.NULL, count)
 
     def test_bad_count(self, ctx):
         g = new_("u64")

@@ -1,7 +1,12 @@
 """Unit tests for shared segments and the type registry."""
 
+import struct
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SegmentError
 from repro.memory.segment import Segment, type_spec
@@ -134,3 +139,113 @@ class TestBytes:
         seg.write_scalar(0, ts, 0x0102030405060708)
         raw = seg.read_bytes(0, 8)
         assert int.from_bytes(raw, "little") == 0x0102030405060708
+
+
+# ---------------------------------------------------------------------------
+# the memoryview scalar path against numpy's
+# ---------------------------------------------------------------------------
+
+
+class _NumpyScalarSegment(Segment):
+    """A segment whose scalar accessors are the numpy ones the memoryview
+    casts replaced, verbatim: the reference for the property below."""
+
+    def read_scalar(self, offset: int, ts):
+        size = ts.size
+        if offset < 0 or offset + size > self.size_bytes or offset % size:
+            self._check(offset, size, size)
+        return self._view(ts)[offset // size].item()
+
+    def write_scalar(self, offset: int, ts, value) -> None:
+        size = ts.size
+        if offset < 0 or offset + size > self.size_bytes or offset % size:
+            self._check(offset, size, size)
+        self._view(ts)[offset // size] = value
+
+
+_SIZE = 64
+_TYPES = [type_spec(n) for n in ("i64", "u64", "f64", "i32", "u32", "u8")]
+#: every type's range edges, one past them, and the special floats
+_EDGES = [0, 1, -1, 255, 256, (1 << 31) - 1, 1 << 31, -(1 << 31),
+          -(1 << 31) - 1, (1 << 32) - 1, 1 << 32, (1 << 63) - 1, 1 << 63,
+          -(1 << 63), -(1 << 63) - 1, (1 << 64) - 1, 1 << 64, 1 << 1100,
+          0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1.5, -2.5,
+          True, False]
+_VALUES = st.one_of(
+    st.sampled_from(_EDGES),
+    st.integers(-(1 << 66), 1 << 66),
+    st.floats(width=64),
+    st.builds(np.uint64, st.integers(0, (1 << 64) - 1)),
+    st.builds(np.int64, st.integers(-(1 << 63), (1 << 63) - 1)),
+    st.builds(np.int32, st.integers(-(1 << 31), (1 << 31) - 1)),
+    st.builds(np.uint8, st.integers(0, 255)),
+    st.builds(np.float64, st.floats(width=64)),
+)
+
+
+def _outcome(call):
+    """``(("ok", result) or ("raised", exception type), warning types)``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("ok", call())
+        except Exception as exc:  # noqa: BLE001 - the type is the result
+            result = ("raised", type(exc))
+    return result, [w.category for w in caught]
+
+
+def _bits(value):
+    """A value's type and exact content (NaN payloads and the sign of
+    zero included)."""
+    if type(value) is float:
+        return float, struct.pack("<d", value)
+    return type(value), value
+
+
+@settings(max_examples=300, deadline=None)
+@given(init=st.binary(min_size=_SIZE, max_size=_SIZE), data=st.data())
+def test_scalar_accessors_match_numpy(init, data):
+    """Over random contents and every type, the memoryview accessors store
+    the same bytes, return the same values and types, and raise (or warn)
+    the same types as numpy; writes through either path are visible to
+    the other."""
+    seg, ref = Segment(0, _SIZE), _NumpyScalarSegment(0, _SIZE)
+    seg.write_bytes(0, init)
+    ref.write_bytes(0, init)
+    for _ in range(data.draw(st.integers(1, 12))):
+        ts = data.draw(st.sampled_from(_TYPES))
+        offset = data.draw(st.one_of(
+            st.integers(-1, _SIZE // ts.size).map(lambda i: i * ts.size),
+            st.integers(-9, _SIZE + 8),
+        ))
+        kind = data.draw(st.sampled_from(["read", "write", "view"]))
+        if kind == "read":
+            got, want = (_outcome(lambda s=s: s.read_scalar(offset, ts))
+                         for s in (seg, ref))
+            if got[0][0] == "ok" and want[0][0] == "ok":
+                got = (_bits(got[0][1]), got[1])
+                want = (_bits(want[0][1]), want[1])
+            assert got == want
+            continue
+        value = data.draw(_VALUES)
+        if kind == "write":
+            got, want = (
+                _outcome(lambda s=s: s.write_scalar(offset, ts, value))
+                for s in (seg, ref))
+            assert got == want
+            if got[0][0] == "ok":
+                # numpy sees the memoryview's write
+                assert _bits(seg.view_array(offset, ts, 1)[0].item()) == \
+                    _bits(seg.read_scalar(offset, ts))
+        else:
+            # a numpy write the memoryview must see
+            def write_view(s):
+                s.view_array(offset, ts, 1)[0] = value
+
+            got, want = (_outcome(lambda s=s: write_view(s))
+                         for s in (seg, ref))
+            assert got == want
+            if got[0][0] == "ok":
+                assert _bits(seg.read_scalar(offset, ts)) == \
+                    _bits(ref.read_scalar(offset, ts))
+        assert seg.read_bytes(0, _SIZE) == ref.read_bytes(0, _SIZE)

@@ -1,10 +1,10 @@
 """Paired benchmark runs: a base revision against the working tree.
 
 Runs ``perfbench/run.py --workload W --seed S --trace 0`` in alternating
-pairs: one side in a temporary ``git worktree`` of ``--base``, the other
-in the working tree (uncommitted edits included).  Every run is a fresh
-process; the side that runs first alternates from pair to pair, so slow
-drift of the machine falls on both sides equally.
+pairs: one side in a temporary export (``git archive``) of ``--base``, the
+other in the working tree (uncommitted edits included).  Every run is a
+fresh process; the side that runs first alternates from pair to pair, so
+slow drift of the machine falls on both sides equally.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles, the per-pair ratios (working tree over base) and
@@ -21,12 +21,17 @@ spread.  Last comes the no-regression verdict against the metric's
   base run;
 * ``no regression`` — otherwise.
 
+The last line of output is one JSON object holding every run's metrics
+and, per metric, each side's values, quartiles and spread, the ratios,
+the wins, the gain rule's result and the verdict: redirect it to a file
+to keep the log.
+
 Usage (from anywhere inside the repository)::
 
     python tools/perf_pairs.py --base REV --workload W --pairs N --seed S
 
-Set ``TMPDIR`` to choose where the temporary worktree goes.  Nothing in
-either tree is modified.
+Set ``TMPDIR`` to choose where the temporary export goes.  Nothing in
+either tree is modified, and nothing is registered in the repository.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -46,6 +52,18 @@ WIN_SHARE = 0.9
 def _git(*args: str, cwd: Path) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, text=True,
                           stdout=subprocess.PIPE).stdout.strip()
+
+
+def export(rev: str, root: Path, dest: Path) -> None:
+    """Extract the tracked files of ``rev`` into the new directory
+    ``dest``."""
+    archive = dest.with_suffix(".tar")
+    _git("archive", "--format=tar", f"--output={archive}", rev, cwd=root)
+    # the "data" filter refuses links out of ``dest`` (Python >= 3.11.4)
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, **safe)
+    archive.unlink()
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -109,24 +127,50 @@ def judge(base: list[float], change: list[float], better: str) -> dict:
     }
 
 
-def report(results: dict, spec: dict) -> None:
+def summarize(results: dict, spec: dict) -> dict:
+    """Per end-to-end metric: both sides' values, :func:`judge`'s result,
+    the spreads and the verdict (plain data, ready for JSON)."""
+    out = {}
     for metric in spec["end_to_end"]:
         name, better = metric["name"], metric["better"]
         base = [r["metrics"][name]["value"] for r in results["base"]]
         change = [r["metrics"][name]["value"] for r in results["change"]]
         j = judge(base, change, better)
-        print(f"{name} ({metric['unit']}, {better} is better)")
+        out[name] = {
+            "unit": metric["unit"],
+            "better": better,
+            "bound": metric["bound"],
+            "base_values": base,
+            "change_values": change,
+            "base_quartiles": list(j["base"]),
+            "change_quartiles": list(j["change"]),
+            "base_median": j["base"][1],
+            "change_median": j["change"][1],
+            "ratios": j["ratios"],
+            "median_ratio": j["median_ratio"],
+            "wins": j["wins"],
+            "pairs": len(base),
+            "gain": j["gain"],
+            "base_spread": spread(base),
+            "change_spread": spread(change),
+            "verdict": verdict(base, change, better, metric["bound"]),
+        }
+    return out
+
+
+def report(summary: dict) -> None:
+    for name, m in summary.items():
+        print(f"{name} ({m['unit']}, {m['better']} is better)")
         for side in ("base", "change"):
-            q1, med, q3 = j[side]
+            q1, med, q3 = m[f"{side}_quartiles"]
             print(f"  {side:6s} median {med:.6g}  quartiles {q1:.6g} .. "
                   f"{q3:.6g}")
-        print("  ratios " + " ".join(f"{r:.3f}" for r in j["ratios"]))
-        print(f"  median ratio {j['median_ratio']:.3f}, working tree wins "
-              f"{j['wins']}/{len(base)}; gain rule "
-              f"{'holds' if j['gain'] else 'does not hold'}")
-        bound = metric["bound"]
-        print(f"  spreads {spread(base):.1%} / {spread(change):.1%}, bound "
-              f"{bound:.0%}: {verdict(base, change, better, bound)}")
+        print("  ratios " + " ".join(f"{r:.3f}" for r in m["ratios"]))
+        print(f"  median ratio {m['median_ratio']:.3f}, working tree wins "
+              f"{m['wins']}/{m['pairs']}; gain rule "
+              f"{'holds' if m['gain'] else 'does not hold'}")
+        print(f"  spreads {m['base_spread']:.1%} / {m['change_spread']:.1%}, "
+              f"bound {m['bound']:.0%}: {m['verdict']}")
 
 
 def main(argv=None) -> int:
@@ -146,31 +190,34 @@ def main(argv=None) -> int:
     rev = _git("rev-parse", "--verify", args.base + "^{commit}", cwd=root)
     spec = json.loads((root / "BENCHMARK.json").read_text())
     results: dict = {"base": [], "change": []}
+    runs = []
     with tempfile.TemporaryDirectory(prefix="perf_pairs_") as tmp:
         base_tree = Path(tmp) / "base"
-        _git("worktree", "add", "--detach", str(base_tree), rev, cwd=root)
-        try:
-            trees = {"base": base_tree, "change": root}
-            for i in range(args.pairs):
-                order = ("base", "change") if i % 2 == 0 else \
-                    ("change", "base")
-                for side in order:
-                    line = run_once(trees[side], args.workload, args.seed)
-                    results[side].append(line)
-                    values = {k: round(v["value"], 6)
-                              for k, v in line["metrics"].items()}
-                    print(f"pair {i + 1} {side:6s} correct="
-                          f"{line['correct']} {json.dumps(values)}",
-                          flush=True)
-                    if not line["correct"] or line["returncode"]:
-                        print(f"perf_pairs: {side} run failed",
-                              file=sys.stderr)
-                        return 1
-        finally:
-            _git("worktree", "remove", "--force", str(base_tree), cwd=root)
+        export(rev, root, base_tree)
+        trees = {"base": base_tree, "change": root}
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                line = run_once(trees[side], args.workload, args.seed)
+                results[side].append(line)
+                values = {k: v["value"] for k, v in line["metrics"].items()}
+                runs.append({"pair": i + 1, "side": side,
+                             "correct": line["correct"], "metrics": values})
+                rounded = {k: round(v, 6) for k, v in values.items()}
+                print(f"pair {i + 1} {side:6s} correct={line['correct']} "
+                      f"{json.dumps(rounded)}", flush=True)
+                if not line["correct"] or line["returncode"]:
+                    print(f"perf_pairs: {side} run failed", file=sys.stderr)
+                    return 1
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs, "
           f"base {args.base} ({rev[:12]}) vs working tree")
-    report(results, spec)
+    summary = summarize(results, spec)
+    report(summary)
+    print(json.dumps({
+        "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+        "base": args.base, "base_rev": rev, "runs": runs,
+        "metrics": summary,
+    }))
     return 0
 
 

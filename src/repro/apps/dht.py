@@ -218,9 +218,7 @@ def _dht_keys(cfg: DhtConfig, rank: int) -> list[int]:
 
 def _dht_body_gen(cfg: DhtConfig):
     """The SPMD body as a generator continuation (``yield from`` at every
-    blocking construct), so the event-loop scheduler resumes it in place;
-    :func:`_dht_body` drives this same generator through the blocking
-    primitives — one body, both paths, identical charge sequences."""
+    blocking construct), so the event-loop scheduler resumes it in place."""
     ctx = current_ctx()
     me = rank_me()
     table = DistributedHashMap(cfg.log2_slots)
@@ -253,12 +251,6 @@ def _dht_body_gen(cfg: DhtConfig):
     yield from barrier_gen()
     solve_ns = ctx.clock.elapsed_since("solve")
     return solve_ns, hits, table.local_items()
-
-
-def _dht_body(cfg: DhtConfig):
-    """Blocking form of the body (rides the thread shim) — the reference
-    the continuation port is compared against."""
-    return run_blocking(current_ctx(), _dht_body_gen(cfg))
 
 
 def run_dht(

@@ -54,7 +54,6 @@ from repro.errors import UpcxxError
 from repro.memory.global_ptr import GlobalPtr
 from repro.runtime.config import Version
 from repro.runtime.runtime import spmd_run
-from repro.runtime.switchpoints import run_blocking
 from repro.sim.costmodel import CostAction
 
 _PROPOSE = 1
@@ -305,8 +304,7 @@ class _RankSolver:
 
     def solve_gen(self):
         """The solve loop as a generator continuation (``yield from`` at
-        every blocking construct); :meth:`solve` drives this same
-        generator through the blocking primitives."""
+        every blocking construct)."""
         ctx = self.ctx
         yield from barrier_gen()
         ctx.clock.mark("solve")
@@ -344,20 +342,11 @@ class _RankSolver:
         solve_ns = ctx.clock.elapsed_since("solve")
         return solve_ns, rounds, total_cross, dict(self.mate)
 
-    def solve(self) -> tuple[float, int, int, dict[int, int]]:
-        """Blocking wrapper over :meth:`solve_gen` (thread-shim path)."""
-        return run_blocking(self.ctx, self.solve_gen())
-
 
 def _matching_body_gen(g: Graph, cfg: MatchingConfig):
-    """Generator SPMD body — the event-loop continuation fast path."""
+    """The SPMD body: one rank's solver, resumed in place by the event
+    loop."""
     return (yield from _RankSolver(g, cfg).solve_gen())
-
-
-def _matching_body(g: Graph, cfg: MatchingConfig):
-    """Blocking SPMD body — the reference the continuation port is
-    compared against."""
-    return _RankSolver(g, cfg).solve()
 
 
 def run_matching(

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro import (
     Promise,
-    barrier,
+    barrier_gen,
     current_ctx,
     new_array,
     operation_cx,
@@ -93,7 +93,7 @@ def _stencil_body(cfg: StencilConfig):
     if me == p - 1:
         cur_view[per + 1] = cfg.right_temp
         nxt_view[per + 1] = cfg.right_temp
-    barrier()
+    yield from barrier_gen()
     ctx.clock.mark("solve")
 
     read_bases, write_bases = bases_cur, bases_nxt
@@ -105,7 +105,7 @@ def _stencil_body(cfg: StencilConfig):
         write_view[1 : per + 1] = 0.5 * (
             read_view[0:per] + read_view[2 : per + 2]
         )
-        barrier()  # everyone's write buffer is complete
+        yield from barrier_gen()  # everyone's write buffer is complete
         # halo exchange: push my edge cells into the neighbours' write
         # buffers' halo cells (for the *next* iteration's read)
         prom = Promise()
@@ -121,12 +121,12 @@ def _stencil_body(cfg: StencilConfig):
                 write_bases[me + 1] + 0,
                 operation_cx.as_promise(prom),
             )
-        prom.finalize().wait()
-        barrier()  # halos delivered
+        yield from prom.finalize().wait_gen()
+        yield from barrier_gen()  # halos delivered
         read_bases, write_bases = write_bases, read_bases
         read_view, write_view = write_view, read_view
 
-    barrier()
+    yield from barrier_gen()
     solve_ns = ctx.clock.elapsed_since("solve")
     return solve_ns, np.array(read_view[1 : per + 1])
 
@@ -140,7 +140,8 @@ def run_stencil(
     flags=None,
 ) -> StencilResult:
     res = spmd_run(
-        lambda: _stencil_body(cfg),
+        _stencil_body,
+        args=(cfg,),
         ranks=ranks,
         version=version,
         machine=machine,

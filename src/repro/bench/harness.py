@@ -32,6 +32,7 @@ from repro.rma import rget, rget_into, rput
 from repro.runtime.config import Version, flags_for
 from repro.runtime.context import current_ctx
 from repro.runtime.runtime import spmd_run
+from repro.runtime.switchpoints import YIELD_NOW
 from repro.sim.stats import run_samples
 
 MICRO_OPS = ("put", "get", "get_nv", "fadd", "fadd_nv")
@@ -57,39 +58,43 @@ class MicroResult:
 def _micro_body(op: str, n_ops: int):
     """SPMD body: rank 0 times ``n_ops`` against rank 1's memory (on-node
     shared-memory bypass, as in the paper's single-node runs)."""
-    from repro import barrier, new_, rank_me
+    from repro import barrier_gen, new_, rank_me
 
     target = new_("u64", 0)
     scratch = new_("u64", 0)
     ctx = current_ctx()
-    barrier()
+    yield from barrier_gen()
     if rank_me() != 0:
-        barrier()
+        yield from barrier_gen()
         return 0.0
     remote = GlobalPtr(1, target.offset, target.ts)
     ad = AtomicDomain({"fetch_add"}, "u64") if op.startswith("fadd") else None
     ctx.clock.mark("loop")
     if op == "put":
         for _ in range(n_ops):
-            rput(0, remote, operation_cx.as_future()).wait()
+            yield from rput(0, remote, operation_cx.as_future()).wait_gen()
     elif op == "get":
         for _ in range(n_ops):
-            rget(remote, operation_cx.as_future()).wait()
+            yield from rget(remote, operation_cx.as_future()).wait_gen()
     elif op == "get_nv":
         for _ in range(n_ops):
-            rget_into(remote, scratch, 1, operation_cx.as_future()).wait()
+            yield from rget_into(
+                remote, scratch, 1, operation_cx.as_future()
+            ).wait_gen()
     elif op == "fadd":
         for _ in range(n_ops):
-            ad.fetch_add(remote, 1, operation_cx.as_future()).wait()
+            yield from ad.fetch_add(
+                remote, 1, operation_cx.as_future()
+            ).wait_gen()
     elif op == "fadd_nv":
         for _ in range(n_ops):
-            ad.fetch_add_into(
+            yield from ad.fetch_add_into(
                 remote, 1, scratch, operation_cx.as_future()
-            ).wait()
+            ).wait_gen()
     else:
         raise ValueError(f"unknown micro op {op!r}")
     elapsed = ctx.clock.elapsed_since("loop")
-    barrier()
+    yield from barrier_gen()
     return elapsed
 
 
@@ -114,7 +119,8 @@ def run_micro(
 
     def sample(i: int) -> float:
         res = spmd_run(
-            lambda: _micro_body(op, n_ops),
+            _micro_body,
+            args=(op, n_ops),
             ranks=2,
             version=version,
             machine=machine,
@@ -257,7 +263,8 @@ def traced_micro(
 
     base = flags if flags is not None else flags_for(version)
     res = spmd_run(
-        lambda: _micro_body(op, n_ops),
+        _micro_body,
+        args=(op, n_ops),
         ranks=2,
         version=version,
         machine=machine,
@@ -317,32 +324,32 @@ def graph_localities(
 # ---------------------------------------------------------------------------
 
 
-def _offnode_body(op: str, n_ops: int):
-    from repro import barrier, new_, rank_me
+def _offnode_body(op: str, n_ops: int, done: list):
+    """SPMD body: rank 0 times ``n_ops`` ops against rank 1 on the other
+    node; rank 1 serves them until rank 0 sets ``done[0]``."""
+    from repro import barrier_gen, new_, progress, rank_me
 
     target = new_("u64", 0)
     ctx = current_ctx()
-    barrier()
+    yield from barrier_gen()
     if rank_me() != 0:
         # the target node must keep making progress to service AMs
-        from repro import progress
-
-        while ctx.world._offnode_done < 1:  # type: ignore[attr-defined]
+        while not done[0]:
             progress()
-            ctx.yield_to_others()
-        barrier()
+            yield YIELD_NOW
+        yield from barrier_gen()
         return 0.0
     remote = GlobalPtr(1, target.offset, target.ts)
     ctx.clock.mark("loop")
     if op == "put":
         for _ in range(n_ops):
-            rput(0, remote).wait()
+            yield from rput(0, remote).wait_gen()
     else:
         for _ in range(n_ops):
-            rget(remote).wait()
+            yield from rget(remote).wait_gen()
     elapsed = ctx.clock.elapsed_since("loop")
-    ctx.world._offnode_done = 1  # type: ignore[attr-defined]
-    barrier()
+    done[0] = True
+    yield from barrier_gen()
     return elapsed
 
 
@@ -362,15 +369,9 @@ def offnode_grid(
     out = {}
     for op in ops:
         for v in versions:
-
-            def body(op=op):
-                ctx = current_ctx()
-                if not hasattr(ctx.world, "_offnode_done"):
-                    ctx.world._offnode_done = 0  # type: ignore[attr-defined]
-                return _offnode_body(op, n_ops)
-
             res = spmd_run(
-                body,
+                _offnode_body,
+                args=(op, n_ops, [False]),
                 ranks=2,
                 n_nodes=2,
                 version=v,

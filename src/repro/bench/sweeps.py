@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro import (
     Promise,
-    barrier,
+    barrier_gen,
     current_ctx,
     new_array,
     operation_cx,
@@ -26,6 +26,7 @@ from repro import (
 from repro.memory.global_ptr import GlobalPtr
 from repro.runtime.config import Version
 from repro.runtime.runtime import spmd_run
+from repro.runtime.switchpoints import YIELD_NOW
 from repro.sim.costmodel import CostAction
 
 
@@ -42,11 +43,14 @@ class LocalityPoint:
         return self.defer_ns / self.eager_ns - 1
 
 
-def _locality_body(local_fraction: float, updates: int, slots: int):
+def _locality_body(
+    local_fraction: float, updates: int, slots: int, done: list
+):
     """Each rank puts into random slots: co-located targets with
     probability ``local_fraction``, off-node targets otherwise.  All
     ranks keep serving progress until everyone finishes (off-node puts
-    need the target node's attention)."""
+    need the target node's attention); ``done[0]`` counts the finished
+    ranks."""
     ctx = current_ctx()
     me, p = rank_me(), rank_n()
     table = new_array("u64", slots)
@@ -54,7 +58,7 @@ def _locality_body(local_fraction: float, updates: int, slots: int):
     my_node = ctx.world.node_of(me)
     on_node = [r for r in range(p) if ctx.world.node_of(r) == my_node]
     off_node = [r for r in range(p) if ctx.world.node_of(r) != my_node]
-    barrier()
+    yield from barrier_gen()
     ctx.clock.mark("solve")
     prom = Promise()
     rng = ctx.rng
@@ -67,16 +71,15 @@ def _locality_body(local_fraction: float, updates: int, slots: int):
         slot = rng.randrange(slots)
         rput(i, bases[target_rank] + slot, operation_cx.as_promise(prom))
         if (i + 1) % 16 == 0:
-            prom.finalize().wait()
+            yield from prom.finalize().wait_gen()
             prom = Promise()
-    prom.finalize().wait()
+    yield from prom.finalize().wait_gen()
     # serve others' off-node traffic until everyone is done
-    done = getattr(ctx.world, "_sweep_done", 0)
-    ctx.world._sweep_done = done + 1  # type: ignore[attr-defined]
-    while ctx.world._sweep_done < p:  # type: ignore[attr-defined]
+    done[0] += 1
+    while done[0] < p:
         ctx.progress()
-        ctx.yield_to_others()
-    barrier()
+        yield YIELD_NOW
+    yield from barrier_gen()
     solve_ns = ctx.clock.elapsed_since("solve")
     return solve_ns
 
@@ -94,7 +97,8 @@ def locality_sweep(
         times = {}
         for version in (Version.V2021_3_6_DEFER, Version.V2021_3_6_EAGER):
             res = spmd_run(
-                lambda f=frac: _locality_body(f, updates, 64),
+                _locality_body,
+                args=(frac, updates, 64, [0]),
                 ranks=ranks,
                 n_nodes=2,
                 conduit="mpi",

@@ -65,6 +65,8 @@ def rget(src: GlobalPtr, comps: Optional[Completions] = None):
         ctx.charge(_GPTR_DOWNCAST)
         ctx.charge(_CPU_LOAD)
         disp.mark_injected(src.rank, src.ts.size, local=True)
+        if disp.wants_source:
+            disp.notify_sync(_SOURCE)
         value = ctx.world.segment_of(src.rank).read_scalar(src.offset, src.ts)
         disp.notify_sync(_OPERATION, (value,))
         return disp.result()
@@ -98,6 +100,8 @@ def rget_into(
             ctx.charge(_HEAP_FREE)
         ctx.charge(_GPTR_DOWNCAST)
         disp.mark_injected(src.rank, nbytes, local=True)
+        if disp.wants_source:
+            disp.notify_sync(_SOURCE)
         seg = ctx.world.segment_of(src.rank)
         if count == 1 and dest_ref.ts is src.ts:
             # one element, no conversion: skip the array round trip
@@ -142,6 +146,8 @@ def rget_bulk(src: GlobalPtr, count: int, comps: Optional[Completions] = None):
             ctx.charge(_HEAP_FREE)
         ctx.charge(_GPTR_DOWNCAST)
         disp.mark_injected(src.rank, nbytes, local=True)
+        if disp.wants_source:
+            disp.notify_sync(_SOURCE)
         ctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
         data = ctx.world.segment_of(src.rank).read_array(
             src.offset, src.ts, count

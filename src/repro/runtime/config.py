@@ -81,7 +81,7 @@ class FeatureFlags:
         identical either way, and with the flag off ``RankContext.obs``
         stays ``None`` (one attribute check per site — zero cost).
     sched_wake_list:
-        Event-driven wake lists in the scheduler core:
+        Event-driven wake lists in the event-loop scheduler:
         a blocking construct that names its wake event (cell readiness,
         barrier epoch advance — see
         :class:`~repro.runtime.switchpoints.BlockUntil`) parks on a wake
@@ -93,21 +93,6 @@ class FeatureFlags:
         default on every build; turning it off restores the pure
         predicate-scan scheduler — the differential oracle the wake-list
         suites diff against.
-    cost_batching:
-        Defer per-charge virtual-clock advances into a per-rank pending
-        scalar that is flushed lazily at the next clock read (every switch
-        point, timestamp, and barrier reads the clock, so no stale time is
-        ever observed).  Charges accumulate in exact integer clock units
-        (the clock's fixed-point grid — see
-        :mod:`repro.sim.clock`), so integer-add associativity makes the
-        batched clocks **bit-identical** to per-charge advancing, not
-        merely close.  Functional results and action counts are identical
-        too.  On by default on every build; ``cost_batching=False`` is the
-        per-charge opt-out (covered by the flag matrix).  Incompatible
-        with timing noise (``RuntimeConfig.noise``): jitter requires a
-        per-charge draw, so a noisy run with default flags silently
-        resolves to the unbatched model (explicitly requesting both still
-        raises).
     cx_continuations:
         Notifiable completion objects beyond futures/promises (see
         :mod:`repro.core.completions` and DESIGN.md §11): continuation
@@ -131,7 +116,6 @@ class FeatureFlags:
     am_aggregation: bool = False
     obs_spans: bool = False
     sched_wake_list: bool = True
-    cost_batching: bool = True
     cx_continuations: bool = False
 
     def replace(self, **kw) -> "FeatureFlags":
@@ -222,15 +206,7 @@ class RuntimeConfig:
     def resolved_flags(self) -> FeatureFlags:
         if self.flags is not None:
             return self.flags
-        flags = flags_for(self.version)
-        if self.noise and flags.cost_batching:
-            # jitter must be drawn per charge — exactly the per-charge work
-            # batching removes.  A noisy run on a *default* build silently
-            # gets the unbatched cost model; explicitly requesting both
-            # (flags= with cost_batching on plus noise>0) still raises at
-            # context construction.
-            flags = flags.replace(cost_batching=False)
-        return flags
+        return flags_for(self.version)
 
     def describe(self) -> str:
         return (

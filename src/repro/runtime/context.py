@@ -31,8 +31,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.memory.allocator import SharedAllocator
     from repro.memory.segment import Segment
     from repro.obs import ObsState
+    from repro.runtime.event_loop import EventLoopScheduler
     from repro.runtime.runtime import World
-    from repro.runtime.scheduler import SchedulerCore
 
 
 class RankContext:
@@ -71,13 +71,10 @@ class RankContext:
             self.costs.noise_run_factor = 1.0 + 2.0 * config.noise * abs(
                 run_rng.gauss(0, 1)
             )
-        if self.flags.cost_batching:
-            if config.noise:
-                raise UpcxxError(
-                    "cost_batching is incompatible with timing noise: "
-                    "jitter must be drawn per charge, which is exactly the "
-                    "per-charge work batching removes"
-                )
+        else:
+            # deterministic time: charges accumulate in exact integer clock
+            # units, bit-identical to per-charge advancing (jitter, by
+            # contrast, must be drawn per charge)
             self.costs.enable_batching()
         self.progress_engine = ProgressEngine(self)
         self.rng = random.Random((config.seed * 1_000_003) ^ (rank + 1))
@@ -93,7 +90,7 @@ class RankContext:
         self.obs: Optional["ObsState"] = None
         #: the driving EventLoopScheduler (yield_now/block_until), wired
         #: by World.attach_scheduler
-        self.scheduler: Optional["SchedulerCore"] = None
+        self.scheduler: Optional["EventLoopScheduler"] = None
         self._barrier_epoch = 0
 
     # -- identity -----------------------------------------------------------

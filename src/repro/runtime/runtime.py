@@ -24,7 +24,6 @@ Example
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -94,17 +93,11 @@ class World:
         #: :meth:`attach_scheduler` by :meth:`EventLoopScheduler.run
         #: <repro.runtime.event_loop.EventLoopScheduler.run>` (under
         #: ``spmd_run`` and for nested/ambient worlds driven directly
-        #: alike) so completion sites (conduit inbox pushes, the barrier
-        #: epoch advance) can notify parked wake-list waiters; None for a
-        #: world nobody drives (a world without a scheduler never parks
-        #: anyone)
+        #: alike) before any rank body starts, so completion sites
+        #: (conduit inbox pushes, the barrier epoch advance) can notify
+        #: parked wake-list waiters; None for a world nobody drives (such
+        #: a world never parks anyone, so it has no wake to deliver)
         self.scheduler = None
-        #: wake notifications that found no attached scheduler — the
-        #: observable form of the old silent fallback: the event is
-        #: dropped and any would-be waiter relies on the predicate scan
-        #: (see :meth:`notify_incoming` / :meth:`notify_barrier_epoch`)
-        self.wake_notify_misses = 0
-        self._wake_miss_noted = False
 
         # barrier state
         self._barrier_epoch = 0
@@ -118,10 +111,8 @@ class World:
         """Wire ``sched`` as this world's wake fabric.
 
         Completion sites (conduit inbox pushes, barrier epoch advances)
-        notify the attached scheduler, every rank context routes its
-        blocking primitives through it, and the scheduler learns it has a
-        wake source (keyed blocks may park on wake bits).
-        :meth:`EventLoopScheduler.run
+        notify the attached scheduler, and every rank context routes its
+        blocking primitives through it.  :meth:`EventLoopScheduler.run
         <repro.runtime.event_loop.EventLoopScheduler.run>` calls this, so
         a nested or ambient world driven directly gets wake-list
         scheduling, not just the world ``spmd_run`` launched.  Idempotent
@@ -137,42 +128,20 @@ class World:
         self.scheduler = sched
         for ctx in self.contexts:
             ctx.scheduler = sched
-        sched.bind_wake_source(self)
 
     def notify_incoming(self, rank: int) -> None:
         """An AM landed in ``rank``'s inbox: wake it if it is parked on a
-        wake list.  With no scheduler attached the event is counted as a
-        miss (plus a one-time debug note) instead of vanishing silently —
-        any waiter then relies on the predicate scan."""
+        wake list (no-op while no scheduler drives this world)."""
         sched = self.scheduler
         if sched is not None:
             sched.notify_incoming(rank)
-        else:
-            self._note_wake_miss()
 
     def notify_barrier_epoch(self) -> None:
         """The barrier epoch advanced: wake every parked barrier waiter
-        (same no-scheduler miss accounting as :meth:`notify_incoming`)."""
+        (no-op while no scheduler drives this world)."""
         sched = self.scheduler
         if sched is not None:
             sched.notify_barrier_epoch()
-        else:
-            self._note_wake_miss()
-
-    def _note_wake_miss(self) -> None:
-        # a single-rank world cannot have a parked waiter when an event
-        # fires (the only rank is the one running), so only multi-rank
-        # worlds count misses — the case where a waiter could exist
-        if self.size <= 1:
-            return
-        self.wake_notify_misses += 1
-        if not self._wake_miss_noted:
-            self._wake_miss_noted = True
-            logging.getLogger(__name__).debug(
-                "wake notification on a world with no attached scheduler; "
-                "waiters (if any) fall back to the predicate scan "
-                "(counted in World.wake_notify_misses)"
-            )
 
     # -- topology ----------------------------------------------------------
 
@@ -302,8 +271,9 @@ def spmd_run(
     the per-rank thread shim.
 
     ``switch_trace``, when given a list, receives every scheduling decision
-    as a small tuple (see :class:`~repro.runtime.scheduler.SchedulerCore`)
-    — the golden oracle's probe.
+    as a small tuple (see
+    :class:`~repro.runtime.event_loop.EventLoopScheduler`) — the golden
+    oracle's probe.
 
     Raises the first rank's exception if any rank fails (other ranks are
     torn down), and :class:`~repro.errors.DeadlockError` if the program

@@ -43,7 +43,8 @@ class BlockUntil(SwitchCommand):
     ``wake`` optionally names the event(s) that can turn the predicate
     true, so the scheduler can park the rank on a wake list instead of
     re-evaluating the predicate on every switch (see
-    :class:`~repro.runtime.scheduler.SchedulerCore`).  Recognized keys:
+    :class:`~repro.runtime.event_loop.EventLoopScheduler`).  Recognized
+    keys:
 
     * ``("cell", cell)`` — the predicate is
       ``cell.ready or ctx.has_incoming()``;

@@ -50,7 +50,7 @@ from repro.obs.percentiles import (
 )
 from repro.runtime.config import Version
 from repro.runtime.runtime import spmd_run
-from repro.runtime.switchpoints import YIELD_NOW, run_blocking
+from repro.runtime.switchpoints import YIELD_NOW
 from repro.serve.workload import (
     ServeConfig,
     build_schedule,
@@ -315,12 +315,6 @@ def _serve_body_gen(cfg: ServeConfig):
     yield from barrier_gen()
     solve_ns = clock.elapsed_since("serve")
     return solve_ns, sobs.n, sobs.missing
-
-
-def _serve_body(cfg: ServeConfig):
-    """Blocking form (rides the thread shim) — the reference the
-    continuation is compared against."""
-    return run_blocking(current_ctx(), _serve_body_gen(cfg))
 
 
 def run_serve(

@@ -11,7 +11,7 @@ Internally the clock counts integer *units* of 2\ :sup:`-20` ns
 to this grid at the profile level (:meth:`MachineProfile.cost_ns`), so
 every charge is an exact integer number of units and accumulation is
 integer addition — associative, hence order-independent.  That is what
-lets batched cost accounting (``FeatureFlags.cost_batching``) park charged
+lets batched cost accounting (every noise-free run) park charged
 units in a pending scalar and fold them in lazily while staying
 **bit-identical** to per-charge advancing.  The float-facing API is exact
 both ways: a unit count below 2\ :sup:`53` converts to float without

@@ -157,7 +157,7 @@ class CostModel:
     a charge pays a list index and an integer add instead of a method call
     and a float round-trip.
 
-    With :meth:`enable_batching` (``FeatureFlags.cost_batching``) charges
+    With :meth:`enable_batching` (every run without timing noise) charges
     accumulate into a pending-units integer scalar and a dense per-action
     count list instead of touching the clock/Counter per call; the clock's
     flush hook folds pending units in before any timestamp read, and the
@@ -249,7 +249,7 @@ class CostModel:
     # -- batched mode --------------------------------------------------------
 
     def enable_batching(self) -> None:
-        """Switch to accumulator mode (``FeatureFlags.cost_batching``).
+        """Switch to accumulator mode (every rank of a noise-free run).
 
         Charges park integer clock units in :attr:`_pending_units` and
         counts in the dense :attr:`_batch_counts` list; the clock's flush
@@ -261,7 +261,7 @@ class CostModel:
         """
         if self.noise:
             raise ValueError(
-                "cost_batching is incompatible with timing noise "
+                "cost batching is incompatible with timing noise "
                 "(jitter is drawn per charge)"
             )
         self._batching = True

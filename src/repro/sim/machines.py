@@ -73,7 +73,7 @@ class MachineProfile:
         grid (:data:`repro.sim.clock.UNITS_PER_NS` units per nanosecond,
         a power of two), so every charge is an exact integer number of
         clock units.  That exactness is what makes batched cost
-        accumulation (``FeatureFlags.cost_batching``) bit-identical to
+        accumulation (every noise-free run) bit-identical to
         per-charge advancing: integer addition is associative.  The grid
         is ~1e-6 ns, far below any modeled cost, so the calibrated shape
         claims are untouched; dyadic table entries (the common case) pass

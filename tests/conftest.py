@@ -16,7 +16,9 @@ from repro.runtime.context import (
     reset_ambient_ctx,
     set_current_ctx,
 )
+from repro.runtime.event_loop import EventLoopScheduler
 from repro.runtime.runtime import build_world
+from repro.sim.costmodel import CostModel
 
 ALL_VERSIONS = (
     Version.V2021_3_0,
@@ -49,6 +51,35 @@ def rank_body(fn, continuation: bool):
     if continuation:
         return fn
     return lambda *args: fn(*args)
+
+
+def unbatched(monkeypatch) -> None:
+    """Make every world built from now on charge per call: the unbatched
+    arm of the batched-vs-unbatched oracle (a noise-free run batches)."""
+    monkeypatch.setattr(CostModel, "enable_batching", lambda self: None)
+
+
+def count_parked_predicates(monkeypatch) -> list:
+    """Count the scheduler's evaluations of parked ranks' predicates.
+
+    Wraps every predicate a rank parks with (the immediate check before
+    parking is not counted) and returns a one-element list holding the
+    running count.  The wake-list path never evaluates a keyed parked
+    predicate; the predicate scan evaluates every parked one per switch."""
+    evaluations = [0]
+    enter_blocked = EventLoopScheduler._enter_blocked
+
+    def counting_enter_blocked(sched, rank, pred, wake):
+        def counted():
+            evaluations[0] += 1
+            return pred()
+
+        enter_blocked(sched, rank, counted, wake)
+
+    monkeypatch.setattr(
+        EventLoopScheduler, "_enter_blocked", counting_enter_blocked
+    )
+    return evaluations
 
 
 @pytest.fixture(autouse=True)

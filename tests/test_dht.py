@@ -8,7 +8,6 @@ from repro import barrier, rank_me
 from repro.apps.dht import (
     DhtConfig,
     DistributedHashMap,
-    _dht_body,
     _dht_body_gen,
     _mix,
     run_dht,
@@ -16,7 +15,7 @@ from repro.apps.dht import (
 from repro.errors import UpcxxError
 from repro.runtime.config import Version, flags_for
 from repro.runtime.runtime import spmd_run
-from tests.conftest import ALL_VERSIONS
+from tests.conftest import ALL_VERSIONS, rank_body
 from tests.test_sched_golden import DHT_CFG, assert_golden
 
 
@@ -154,7 +153,9 @@ class TestContinuationParity:
     @pytest.mark.parametrize("wake_list", [False, True])
     def test_generator_body_matches_blocking_body(self, wake_list):
         gen = self._run(_dht_body_gen, wake_list=wake_list)
-        blk = self._run(lambda c: _dht_body(c), wake_list=wake_list)
+        blk = self._run(
+            rank_body(_dht_body_gen, False), wake_list=wake_list
+        )
         assert gen == blk
         assert gen[2] > 0
 
@@ -167,7 +168,7 @@ class TestContinuationParity:
     @pytest.mark.parametrize("version", ALL_VERSIONS)
     def test_run_dht_results_identical(self, version):
         gen = self._run(_dht_body_gen, version=version)
-        blk = self._run(lambda c: _dht_body(c), version=version)
+        blk = self._run(rank_body(_dht_body_gen, False), version=version)
         assert gen == blk
         # and run_dht (the generator body) reports a correct table
         assert run_dht(

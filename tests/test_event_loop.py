@@ -21,9 +21,10 @@ from repro.errors import DeadlockError, SchedulerError
 from repro.fuzz import generate_program
 from repro.fuzz.runner import _fuzz_body, mode_flags, run_program
 from repro.runtime.config import Version, flags_for
+from repro.runtime.event_loop import _ThreadShimTask
 from repro.runtime.runtime import spmd_run
 from repro.runtime.switchpoints import YIELD_NOW, BlockUntil
-from tests.conftest import rank_body
+from tests.conftest import rank_body, unbatched
 
 
 def _flags(version=Version.V2021_3_6_EAGER, **kw):
@@ -342,55 +343,121 @@ class TestFuzzParity:
 
 
 class TestCostBatching:
-    """cost_batching (default-on) accumulates exact integer clock units,
-    so toggling the opt-out knob is *bit-identical*: same counts, same
-    clocks, no tolerance — the integer accumulator is order-independent."""
+    """Batched cost accounting (every noise-free run) accumulates exact
+    integer clock units, so it is *bit-identical* to per-charge advancing
+    (the unbatched arm patches ``CostModel.enable_batching`` to a no-op):
+    same counts, same clocks, no tolerance — the integer accumulator is
+    order-independent."""
 
-    def test_counts_identical_and_clocks_bit_identical(self):
+    def test_counts_identical_and_clocks_bit_identical(self, monkeypatch):
         from repro.apps.gups import GupsConfig, run_gups
 
         cfg = GupsConfig(variant="rma_promise", table_log2=8,
                          updates_per_rank=32, batch=8)
-        base = _flags(cost_batching=False)
-        r_plain = run_gups(cfg, ranks=4, machine="generic", flags=base)
-        r_batch = run_gups(
-            cfg, ranks=4, machine="generic",
-            flags=dataclasses.replace(base, cost_batching=True),
-        )
+        r_batch = run_gups(cfg, ranks=4, machine="generic")
+        unbatched(monkeypatch)
+        r_plain = run_gups(cfg, ranks=4, machine="generic")
         assert r_batch.checksum == r_plain.checksum
         assert r_batch.solve_ns == r_plain.solve_ns
 
-    def test_counts_merge_lazily(self):
+    def test_counts_merge_lazily(self, monkeypatch):
         program = generate_program(7)
         kw = dict(ranks=program.ranks, machine="generic",
                   conduit=program.conduit, n_nodes=program.n_nodes,
                   seed=program.seed, args=(program,))
-        r_plain = spmd_run(
-            _fuzz_body, flags=_flags(cost_batching=False), **kw
-        )
-        r_batch = spmd_run(
-            _fuzz_body, flags=_flags(cost_batching=True), **kw
-        )
+        r_batch = spmd_run(_fuzz_body, **kw)
+        unbatched(monkeypatch)
+        r_plain = spmd_run(_fuzz_body, **kw)
         for cp, cb in zip(r_plain.world.contexts, r_batch.world.contexts):
+            assert cb.costs._batching and not cp.costs._batching
             assert cb.costs.snapshot() == cp.costs.snapshot()
             assert cb.clock.now_ns == cp.clock.now_ns
 
     def test_noise_auto_disables_default_batching(self):
-        """``noise`` with flags=None quietly resolves to batching-off
-        (jitter needs per-charge draws); only an *explicit* batching flag
-        combined with noise is an error."""
+        """A noisy run charges per call (jitter needs per-charge draws);
+        a noise-free one batches."""
         def body():
             return 0
 
         r = spmd_run(body, ranks=2, noise=0.1, seed=3)
         assert r.values == [0, 0]
+        assert not any(c.costs._batching for c in r.world.contexts)
+        r = spmd_run(body, ranks=2)
+        assert all(c.costs._batching for c in r.world.contexts)
 
     def test_noise_is_rejected(self):
-        from repro.errors import UpcxxError
-
+        """The cost model itself refuses batching once noise is set."""
         def body():
             return 0
 
-        with pytest.raises(UpcxxError, match="cost_batching"):
-            spmd_run(body, ranks=2, noise=0.1,
-                     flags=_flags(cost_batching=True))
+        r = spmd_run(body, ranks=2, noise=0.1, seed=3)
+        with pytest.raises(ValueError, match="timing noise"):
+            r.world.contexts[0].costs.enable_batching()
+
+
+def _smallest_runner_calls():
+    """Name -> thunk running the smallest config of every bundled runner."""
+    from repro.apps.dht import DhtConfig, run_dht
+    from repro.apps.gups import GupsConfig, run_gups
+    from repro.apps.matching import MatchingConfig, run_matching
+    from repro.apps.stencil import StencilConfig, run_stencil
+    from repro.bench import ab
+    from repro.bench.harness import (
+        MICRO_OPS, offnode_grid, run_micro, traced_micro,
+    )
+    from repro.bench.sweeps import locality_sweep
+    from repro.fuzz import MODES
+    from repro.serve import ServeConfig, run_serve
+
+    ve = Version.V2021_3_6_EAGER
+    calls = {
+        f"run_micro_{op}": (
+            lambda op=op: run_micro(op, ve, "intel", n_ops=2, n_samples=1)
+        )
+        for op in MICRO_OPS
+    }
+    calls.update({
+        "traced_micro": lambda: traced_micro("get", ve, "intel", n_ops=2),
+        "offnode_grid": lambda: offnode_grid("intel", n_ops=2),
+        "run_stencil": lambda: run_stencil(
+            StencilConfig(n=8, iterations=2), ranks=2
+        ),
+        "locality_sweep": lambda: locality_sweep(
+            (0.5,), ranks=2, updates=16
+        ),
+        "run_gups": lambda: run_gups(
+            GupsConfig(variant="amo_future", table_log2=8,
+                       updates_per_rank=8, batch=4),
+            ranks=2,
+        ),
+        "run_dht": lambda: run_dht(
+            DhtConfig(log2_slots=8, inserts_per_rank=4, finds_per_rank=4),
+            ranks=2,
+        ),
+        "run_matching": lambda: run_matching(
+            MatchingConfig(graph="channel", scale=1), ranks=2
+        ),
+        "run_serve": lambda: run_serve(
+            ServeConfig(log2_slots=8, key_space=16, requests_per_rank=8),
+            ranks=2,
+        ),
+        "run_program": lambda: run_program(generate_program(1), MODES[0]),
+        "blocked_storm": lambda: ab.WORKLOADS["blocked_storm"](
+            point=2, axis="ranks", flags=flags_for(ve), version=ve, seed=1,
+            params={"rounds_by_ranks": {"2": 2}},
+        ),
+    })
+    return calls
+
+
+class TestRunnersStayOffTheShim:
+    """Every bundled runner ships a generator body, so none of them starts
+    the per-rank thread shim (which serves user code only)."""
+
+    @pytest.mark.parametrize("runner", sorted(_smallest_runner_calls()))
+    def test_runner_starts_no_shim(self, runner, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{runner} started the thread shim")
+
+        monkeypatch.setattr(_ThreadShimTask, "__init__", refuse)
+        _smallest_runner_calls()[runner]()

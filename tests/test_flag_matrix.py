@@ -20,13 +20,14 @@ Timing (``solve_ns``) is *expected* to differ across the notification
 and aggregation axes — that is the paper's whole subject — so no
 cross-axis timing equality is asserted beyond the rows above.
 
-Two further axis families are swept separately below: the mechanism
-flags (``sched_wake_list``, ``cost_batching`` — pure implementation
-strategies, bit-identical on every observable) and ``cx_continuations``
+Two further axis families are swept separately below: the mechanisms
+(the ``sched_wake_list`` flag and per-charge versus batched cost
+accounting — pure implementation strategies, bit-identical on every
+observable) and ``cx_continuations``
 (a *gate* on the continuation/counter completion kinds: bit-identical
 for workloads that request neither, documented expectations for the
 ``cont`` workload that does).  A Hypothesis property at the end draws
-from the whole flag space: every one of the 12 ``FeatureFlags`` fields,
+from the whole flag space: every one of the 11 ``FeatureFlags`` fields,
 any mix of the build booleans, any GUPS variant and topology.
 """
 
@@ -39,7 +40,7 @@ from hypothesis import strategies as st
 
 from repro.apps.gups import GUPS_VARIANTS, HPCC_TOLERANCE, GupsConfig, run_gups
 from repro.runtime.config import FeatureFlags, flags_for
-from tests.conftest import VD, VE
+from tests.conftest import VD, VE, unbatched
 
 AXES = (
     "am_aggregation",
@@ -112,8 +113,10 @@ class TestMatrix:
             assert agg.checksum == base.checksum, (version, on)
 
 
-# Scheduler-mechanism axes: ``sched_wake_list`` and ``cost_batching`` are
-# pure implementation strategies — toggling either must be bit-identical
+# Mechanism axes: the ``sched_wake_list`` flag and batched cost accounting
+# (on for every noise-free run; the unbatched arm patches
+# ``CostModel.enable_batching`` to a no-op) are pure implementation
+# strategies — toggling either must be bit-identical
 # on *every* observable (timing included), unlike the semantic axes above
 # where only checksums are pinned.  Swept against the flag that most
 # reshapes scheduling/progress behavior.
@@ -127,12 +130,13 @@ class TestMechanismFlagsBitIdentical:
     def mech_matrix(self):
         """(version, on-set, variant) -> result, where variant is
         ``base`` (defaults: wake list + batching on), ``scan``
-        (sched_wake_list off), or ``unbatched`` (cost_batching off)."""
+        (sched_wake_list off), or ``unbatched`` (per-charge clock
+        advancing)."""
         results = {}
         variants = {
-            "base": {},
-            "scan": {"sched_wake_list": False},
-            "unbatched": {"cost_batching": False},
+            "base": ({}, False),
+            "scan": ({"sched_wake_list": False}, False),
+            "unbatched": ({}, True),
         }
         for version in (VE, VD):
             for bits in itertools.product(
@@ -141,19 +145,22 @@ class TestMechanismFlagsBitIdentical:
                 on = {
                     name for name, bit in zip(MECH_BASE_AXES, bits) if bit
                 }
-                for vname, overrides in variants.items():
+                for vname, (overrides, per_charge) in variants.items():
                     flags = flags_for(version).replace(
                         **{name: True for name in on}, **overrides
                     )
-                    results[(version, frozenset(on), vname)] = run_gups(
-                        CFG,
-                        ranks=4,
-                        n_nodes=2,
-                        conduit="udp",
-                        version=version,
-                        machine="generic",
-                        flags=flags,
-                    )
+                    with pytest.MonkeyPatch.context() as mp:
+                        if per_charge:
+                            unbatched(mp)
+                        results[(version, frozenset(on), vname)] = run_gups(
+                            CFG,
+                            ranks=4,
+                            n_nodes=2,
+                            conduit="udp",
+                            version=version,
+                            machine="generic",
+                            flags=flags,
+                        )
         return results
 
     def _assert_identical(self, mech_matrix, variant):
@@ -277,7 +284,7 @@ class TestCxContinuationsDimension:
         assert modes == {"eager"}, modes
 
 
-# The whole flag space: a Hypothesis property over all 12 fields.  Each
+# The whole flag space: a Hypothesis property over all 11 fields.  Each
 # draw mixes the seven build booleans freely (not just the three named
 # builds) and runs any GUPS variant on a one-node smp world or a two-node
 # ibv/udp world; every draw runs to completion within the HPCC tolerance.
@@ -294,7 +301,6 @@ SWITCH_FIELDS = (
     "am_aggregation",
     "obs_spans",
     "sched_wake_list",
-    "cost_batching",
     "cx_continuations",
 )
 
@@ -311,7 +317,7 @@ class TestFlagSpaceProperty:
         drawn = BUILD_FIELDS + SWITCH_FIELDS
         names = [f.name for f in dataclasses.fields(FeatureFlags)]
         assert sorted(drawn) == sorted(names)
-        assert len(names) == 12
+        assert len(names) == 11
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -7,7 +7,6 @@ import pytest
 from repro.apps.graphs import GRAPH_NAMES, Graph, make_graph
 from repro.apps.matching import (
     MatchingConfig,
-    _matching_body,
     _matching_body_gen,
     matching_weight,
     pack_msg,
@@ -17,7 +16,7 @@ from repro.apps.matching import (
 )
 from repro.runtime.config import Version, flags_for
 from repro.runtime.runtime import spmd_run
-from tests.conftest import ALL_VERSIONS
+from tests.conftest import ALL_VERSIONS, rank_body
 from tests.test_sched_golden import assert_golden
 
 
@@ -175,7 +174,7 @@ class TestContinuationParity:
     def test_generator_body_matches_blocking_body(self, wake_list):
         gen = self._run(_matching_body_gen, wake_list=wake_list)
         blk = self._run(
-            lambda gg, cc: _matching_body(gg, cc), wake_list=wake_list
+            rank_body(_matching_body_gen, False), wake_list=wake_list
         )
         assert gen == blk
         assert gen[2] > 0
@@ -190,7 +189,7 @@ class TestContinuationParity:
     def test_run_matching_results_identical(self, version):
         gen = self._run(_matching_body_gen, graph="channel", version=version)
         blk = self._run(
-            lambda gg, cc: _matching_body(gg, cc), graph="channel",
+            rank_body(_matching_body_gen, False), graph="channel",
             version=version,
         )
         assert gen == blk

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro import (
     Promise,
+    barrier_gen,
     delete_,
     new_,
     new_array,
@@ -29,7 +30,7 @@ from repro.errors import CompletionError, InvalidGlobalPointer
 from repro.memory.global_ptr import GlobalPtr
 from repro.runtime.config import Version
 from repro.runtime.runtime import spmd_run
-from tests.conftest import ALL_VERSIONS
+from tests.conftest import ALL_VERSIONS, VD, VE
 
 
 @pytest.mark.parametrize("version", ALL_VERSIONS)
@@ -187,6 +188,56 @@ class TestCompletionsIntegration:
         fut.wait()
         p.finalize().wait()
         assert rget(g).wait() == 1
+
+
+class TestGetSourceCompletion:
+    """Every get notifies a source-completion request, on the on-node
+    (shared-memory bypass) branch as on the off-node request/reply: the
+    combined request returns a ``(source, operation)`` pair and a source
+    request alone returns its future, wherever the source lives."""
+
+    @pytest.mark.parametrize("version", (VD, VE))
+    @pytest.mark.parametrize("target", ("own", "offnode"))
+    @pytest.mark.parametrize("op", ("rget", "rget_into", "rget_bulk"))
+    def test_source_future_on_every_path(self, op, target, version):
+        def issue(src, dest, comps):
+            if op == "rget":
+                return rget(src, comps)
+            if op == "rget_into":
+                return rget_into(src, dest, 2, comps)
+            return rget_bulk(src, 2, comps)
+
+        def body():
+            me = rank_me()
+            g = new_array("u64", 2, fill=7 + me)
+            dest = new_array("u64", 2)
+            yield from barrier_gen()
+            out = None
+            if me == 0:
+                src = GlobalPtr(0 if target == "own" else 1, g.offset, g.ts)
+                both = issue(
+                    src, dest, source_cx.as_future() | operation_cx.as_future()
+                )
+                assert isinstance(both, tuple) and len(both) == 2
+                src_fut, op_fut = both
+                assert (yield from src_fut.wait_gen()) is None
+                value = yield from op_fut.wait_gen()
+                if op == "rget_into":
+                    value = list(dest.local().view(2))
+                elif op == "rget_bulk":
+                    value = list(value)
+                alone = issue(src, dest, source_cx.as_future())
+                assert alone is not None
+                assert (yield from alone.wait_gen()) is None
+                out = value
+            yield from barrier_gen()
+            return out
+
+        res = spmd_run(
+            body, ranks=2, n_nodes=2, conduit="ibv", version=version
+        )
+        v = 7 if target == "own" else 8
+        assert res.values[0] == (v if op == "rget" else [v, v])
 
 
 class TestCrossRankOnNode:

@@ -37,7 +37,7 @@ import sys
 import pytest
 
 from repro import barrier, barrier_gen, current_ctx, rank_me
-from repro.apps.dht import DhtConfig, _dht_body, _dht_body_gen
+from repro.apps.dht import DhtConfig, _dht_body_gen
 from repro.apps.matching import MatchingConfig, _matching_body_gen
 from repro.errors import DeadlockError
 from repro.fuzz import MODES, generate_program
@@ -46,6 +46,7 @@ from repro.runtime.runtime import spmd_run
 from repro.runtime.switchpoints import BlockUntil
 from repro.serve import ServeConfig
 from repro.serve.driver import _serve_body_gen
+from tests.conftest import rank_body
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "sched_golden.json"
 
@@ -170,7 +171,7 @@ CASES = {
         for mode in MODES
     },
     "plain_barrier_yield_6": _plain_case,
-    "dht_blocking_4": lambda: _dht_case(lambda c: _dht_body(c)),
+    "dht_blocking_4": lambda: _dht_case(rank_body(_dht_body_gen, False)),
     "deadlock_all_blocked_3": _deadlock_case,
     "failure_rank1_4": _failure_case,
 }

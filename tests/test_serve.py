@@ -28,14 +28,13 @@ from repro.runtime.config import Version
 from repro.serve import PHASES, run_serve
 from repro.runtime.runtime import spmd_run
 from repro.serve.driver import (
-    _serve_body,
     _serve_body_gen,
     merge_serve_snapshots,
     sketch_key,
 )
 from repro.serve.workload import KCLASSES
 from repro.sim.stats import serve_snapshots
-from tests.conftest import VE, obs_flags
+from tests.conftest import VE, obs_flags, rank_body
 from tests.test_sched_golden import SERVE_CFG, assert_golden
 
 #: Small but non-trivial: 4 ranks x 64 requests, 128 keys, moderate load
@@ -93,7 +92,7 @@ class TestDeterminism:
                     serve_snapshots(res.world))
 
         gen = run(_serve_body_gen)
-        blk = run(lambda c: _serve_body(c))
+        blk = run(rank_body(_serve_body_gen, False))
         assert gen == blk
         # the snapshots are what run_serve rolls up into its result
         assert merge_serve_snapshots(gen[4]).sketches == baseline().sketches

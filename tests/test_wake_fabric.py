@@ -1,18 +1,15 @@
-"""Wake-fabric wiring tests: nested/directly-driven worlds keep wake
-lists, and losing the wiring is observable instead of silent.
+"""Wake-fabric wiring tests: nested/directly-driven worlds keep wake lists.
 
 Historically only :func:`repro.runtime.runtime.spmd_run` set
 ``world.scheduler``, so a world built with :func:`build_world` and driven
 directly through :class:`EventLoopScheduler.run` had no wake routing: the
 conduit's and barrier's notify sites found no scheduler, and a keyed
 block would have parked on a wake bit nobody ever set.  The fabric is now
-wired through :meth:`World.attach_scheduler` (which ``run`` calls
-itself), and each of the two possible wiring gaps is observable:
-
-* a wake notification arriving at a scheduler-less world counts in
-  ``World.wake_notify_misses``;
-* a keyed block entering a scheduler with no bound wake source demotes to
-  the predicate scan and counts in ``SchedulerCore.keyed_scan_fallbacks``.
+wired through :meth:`World.attach_scheduler`, which ``run`` calls itself
+before any rank body starts, so every keyed block has its wake source.
+The observable proof is the parked-predicate evaluation count: zero on
+the wake-list path (no parked rank is ever re-scanned), where the
+predicate scan evaluates parked predicates on every switch.
 """
 
 import dataclasses
@@ -24,9 +21,8 @@ from repro.errors import UpcxxError
 from repro.runtime.config import RuntimeConfig, Version, flags_for
 from repro.runtime.event_loop import EventLoopScheduler
 from repro.runtime.runtime import build_world, spmd_run
-from repro.runtime.scheduler import SchedulerCore
 from repro.sim.costmodel import CostAction
-from tests.conftest import rank_body
+from tests.conftest import count_parked_predicates, rank_body
 
 
 def _flags(**kw):
@@ -70,13 +66,17 @@ class TestDirectlyDrivenWorld:
         # the program genuinely blocked (the regime under test)
         assert any(ev[0] == "block" for ev in out_wake[3])
 
-    def test_wake_path_taken_not_fallback(self):
-        *_, loop, world = _drive_direct(8, 6, wake_list=True)
+    def test_wake_path_taken_not_fallback(self, monkeypatch):
+        evaluations = count_parked_predicates(monkeypatch)
+        *_, trace, loop, world = _drive_direct(8, 6, wake_list=True)
         assert world.scheduler is loop
-        # every keyed block parked on its wake bit — zero scan demotions,
-        # zero notifications lost to an unattached world
-        assert loop.keyed_scan_fallbacks == 0
-        assert world.wake_notify_misses == 0
+        assert any(ev[0] == "block" for ev in trace)
+        # every keyed block parked on its wake bit: no parked predicate
+        # was ever re-evaluated ...
+        assert evaluations[0] == 0
+        # ... where the predicate scan re-evaluates them on every switch
+        _drive_direct(8, 6, wake_list=False)
+        assert evaluations[0] > 0
 
     def test_run_attach_is_idempotent_with_prewired_world(self):
         config = RuntimeConfig(version=Version.V2021_3_6_EAGER)
@@ -94,49 +94,6 @@ class TestDirectlyDrivenWorld:
         world.attach_scheduler(EventLoopScheduler(2))
         with pytest.raises(UpcxxError):
             world.attach_scheduler(EventLoopScheduler(2))
-
-
-class TestObservableFallbacks:
-    """Each wiring gap counts and notes instead of silently degrading."""
-
-    def test_unattached_world_counts_wake_misses(self):
-        world = build_world(
-            RuntimeConfig(version=Version.V2021_3_6_EAGER), ranks=4
-        )
-        assert world.scheduler is None
-        world.notify_incoming(2)
-        world.notify_barrier_epoch()
-        assert world.wake_notify_misses == 2
-
-    def test_single_rank_world_misses_not_counted(self):
-        # the ambient single-rank world legitimately has no scheduler;
-        # nothing can be parked, so a notify there is not a wiring bug
-        world = build_world(
-            RuntimeConfig(version=Version.V2021_3_6_EAGER), ranks=1
-        )
-        world.notify_incoming(0)
-        world.notify_barrier_epoch()
-        assert world.wake_notify_misses == 0
-
-    def test_unbound_scheduler_demotes_keyed_block_to_scan(self):
-        sched = SchedulerCore(2, wake_list=True)
-        assert sched._wake_source is None
-        sched._enter_blocked(0, lambda: False, ("epoch",))
-        assert sched.keyed_scan_fallbacks == 1
-        # the demoted block is scan-pinned (counted unkeyed), so the pick
-        # loop re-evaluates its predicate instead of trusting a wake bit
-        # that no notify site can reach
-        assert sched._unkeyed == 1
-
-    def test_bound_scheduler_parks_keyed_block(self):
-        sched = SchedulerCore(2, wake_list=True)
-        world = build_world(
-            RuntimeConfig(version=Version.V2021_3_6_EAGER), ranks=2
-        )
-        sched.bind_wake_source(world)
-        sched._enter_blocked(0, lambda: False, ("epoch",))
-        assert sched.keyed_scan_fallbacks == 0
-        assert sched._unkeyed == 0
 
 
 class TestSpmdRunStillWired:
@@ -163,11 +120,14 @@ class TestSpmdRunStillWired:
         )
         assert res.matches_oracle
 
-    def test_world_scheduler_attached(self):
+    def test_world_scheduler_attached(self, monkeypatch):
+        evaluations = count_parked_predicates(monkeypatch)
         trace: list = []
         res = spmd_run(
             _storm_body, ranks=3, args=(2,), switch_trace=trace,
         )
-        assert res.world.scheduler is not None
-        assert res.world.wake_notify_misses == 0
-        assert res.world.scheduler.keyed_scan_fallbacks == 0
+        sched = res.world.scheduler
+        assert sched is not None
+        assert all(c.scheduler is sched for c in res.world.contexts)
+        assert any(ev[0] == "block" for ev in trace)
+        assert evaluations[0] == 0

@@ -19,12 +19,12 @@ from repro import barrier_gen, current_ctx, rank_me
 from repro.errors import DeadlockError
 from repro.fuzz import MODES, generate_program
 from repro.fuzz.runner import run_program
-from repro.runtime.config import Version, flags_for
-from repro.runtime.runtime import spmd_run
-from repro.runtime.scheduler import SchedulerCore
-from repro.runtime.switchpoints import BlockUntil
+from repro.runtime.config import RuntimeConfig, Version, flags_for
+from repro.runtime.event_loop import _DONE, EventLoopScheduler
+from repro.runtime.runtime import build_world, spmd_run
+from repro.runtime.switchpoints import YIELD_NOW, BlockUntil
 from repro.sim.costmodel import CostAction
-from tests.conftest import rank_body
+from tests.conftest import count_parked_predicates, rank_body
 
 
 def _flags(**kw):
@@ -138,25 +138,13 @@ class TestParkedPredicatesNotRescanned:
 
     @pytest.mark.parametrize("wake_list", [True, False])
     def test_parked_predicate_evaluations(self, wake_list, monkeypatch):
-        evaluations = 0
-        enter_blocked = SchedulerCore._enter_blocked
-
-        def counting_enter_blocked(sched, rank, pred, wake):
-            def counted():
-                nonlocal evaluations
-                evaluations += 1
-                return pred()
-
-            enter_blocked(sched, rank, counted, wake)
-
-        monkeypatch.setattr(
-            SchedulerCore, "_enter_blocked", counting_enter_blocked
-        )
+        counted = count_parked_predicates(monkeypatch)
         res = spmd_run(
             _barrier_storm_body, ranks=256, args=(8,),
             flags=_flags(sched_wake_list=wake_list),
         )
         switches = res.world.sched_switches
+        evaluations = counted[0]
         assert switches > 0
         if wake_list:
             assert evaluations == 0
@@ -305,3 +293,80 @@ class TestSchedulerStateInvariants:
         )
         assert r_wake.values == r_scan.values
         assert tr_wake == tr_scan
+
+
+def _drain_body(exit_path: str, box: list, seen: dict):
+    """Ranks 1 and 2 park (1 on a keyed barrier wait, 2 on an unkeyed
+    predicate) before rank 0 picks the job's exit: a normal finish, a
+    rank failure, or a deadlock declared at a block or at a finish."""
+    me = rank_me()
+    try:
+        if me == 0:
+            yield YIELD_NOW  # let ranks 1 and 2 park
+            if exit_path == "fail":
+                raise ValueError("boom")
+            if exit_path == "deadlock_at_block":
+                yield BlockUntil(lambda: False)
+            if exit_path == "deadlock_at_finish":
+                return me
+            box[0] = True
+        elif me == 2:
+            yield BlockUntil(lambda: box[0])
+        yield from barrier_gen()
+    except BaseException as exc:
+        seen[me] = type(exc).__name__
+        raise
+    return me
+
+
+class TestBookkeepingDrainsOnEveryExit:
+    """Whichever way a job ends, every rank ends ``_DONE`` and every wake
+    count and mask is back to zero — also for the keyed and the unkeyed
+    block still parked when the job tears down."""
+
+    @pytest.mark.parametrize("continuation", [False, True])
+    @pytest.mark.parametrize("wake_list", [False, True])
+    @pytest.mark.parametrize(
+        "exit_path",
+        ["finish", "fail", "deadlock_at_block", "deadlock_at_finish"],
+    )
+    def test_drained(self, exit_path, wake_list, continuation, monkeypatch):
+        pending = {}
+        teardown = EventLoopScheduler._teardown
+
+        def spy(sched, skip):
+            pending.update(keyed=sched._keyed_mask, unkeyed=sched._unkeyed)
+            teardown(sched, skip)
+
+        monkeypatch.setattr(EventLoopScheduler, "_teardown", spy)
+        flags = _flags(sched_wake_list=wake_list)
+        world = build_world(RuntimeConfig(flags=flags), ranks=3)
+        loop = EventLoopScheduler(3, wake_list=wake_list)
+        seen: dict = {}
+        values = loop.run(
+            world, rank_body(_drain_body, continuation),
+            (exit_path, [False], seen),
+        )
+        err = loop.first_error()
+        if exit_path == "finish":
+            assert err is None and values == [0, 1, 2]
+            assert not pending
+        else:
+            assert isinstance(
+                err, ValueError if exit_path == "fail" else DeadlockError
+            )
+            # rank 1's keyed and rank 2's unkeyed block were both parked
+            # when the teardown began, and both unwound
+            if wake_list:
+                assert pending == {"keyed": 0b010, "unkeyed": 1}
+            else:
+                assert pending == {"keyed": 0, "unkeyed": 2}
+            assert seen[1] == seen[2] == "DeadlockError"
+        assert all(state is _DONE for state in loop._states)
+        assert loop._blocked == 0
+        assert loop._unkeyed == 0
+        assert loop._keyed_mask == 0
+        assert loop._wake_mask == 0
+        assert loop._incoming_waiters == 0
+        assert loop._epoch_waiters == 0
+        assert loop._ready_mask == 0

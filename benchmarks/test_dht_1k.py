@@ -46,13 +46,12 @@ def test_dht_1k(benchmark, figure_dir):
                     flags=flags_for(ver))
         wall = time.perf_counter() - t0
         assert r.correct, f"lookup misses at {ranks} ranks"
-        rows.append([
-            str(ranks),
-            str(r.ops),
-            f"{r.solve_ns / 1e6:.3f}",
-            f"{wall:.2f}s",
-        ])
+        rows.append([str(ranks), str(r.ops), f"{r.solve_ns / 1e6:.3f}"])
+        # wall seconds vary run to run: they go to pytest-benchmark's
+        # record, never into the committed table
+        benchmark.extra_info[f"wall_s_{ranks}_ranks"] = wall
     sweep_wall = time.perf_counter() - t_sweep
+    benchmark.extra_info["sweep_wall_s"] = sweep_wall
 
     write_figure(
         figure_dir,
@@ -60,7 +59,7 @@ def test_dht_1k(benchmark, figure_dir):
         format_table(
             "Extension: 1024-rank DHT smoke, event-loop scheduler "
             "(Intel, generator continuations)",
-            ["ranks", "ops", "solve [virtual ms]", "wall"],
+            ["ranks", "ops", "solve [virtual ms]"],
             rows,
         ),
     )

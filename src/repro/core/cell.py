@@ -7,7 +7,9 @@ shared-memory bypass; eliminating exactly this allocation (plus the
 progress-queue round trip) is what eager notification buys.
 
 Cells are created through the factory functions below, never directly, so
-that heap-cost accounting is centralized:
+that heap-cost accounting is centralized (the one subclass,
+``when_all``'s dependency-graph vertex, charges the same allocation as it
+is built):
 
 * :func:`alloc_cell` — a fresh non-ready cell; charges one promise-cell
   heap allocation (and its eventual free, amortized at allocation time);
@@ -45,7 +47,7 @@ class PromiseCell:
     completes), and conjoined cells at the number of non-ready inputs.
     """
 
-    __slots__ = ("nvalues", "values", "deps", "finalized", "callbacks", "shared")
+    __slots__ = ("nvalues", "values", "deps", "callbacks", "shared")
 
     def __init__(self, nvalues: int = 0, deps: int = 1, shared: bool = False):
         if deps < 0:
@@ -53,7 +55,6 @@ class PromiseCell:
         self.nvalues = nvalues
         self.values: Optional[tuple] = () if nvalues == 0 else None
         self.deps = deps
-        self.finalized = deps == 0
         self.callbacks: Optional[list[Callable[[tuple], None]]] = None
         self.shared = shared
 
@@ -96,41 +97,45 @@ class PromiseCell:
             raise PromiseError("the shared ready cell is immutable")
         if n < 0:
             raise PromiseError("cannot fulfill a negative count")
-        if n > self.deps:
+        deps = self.deps
+        if n > deps:
             raise PromiseError(
-                f"over-fulfillment: {n} > outstanding {self.deps}"
+                f"over-fulfillment: {n} > outstanding {deps}"
             )
         if n == 0:
             return False
-        self.deps -= n
-        if self.deps == 0:
-            if self.nvalues and self.values is None:
-                raise PromiseError(
-                    "all dependencies cleared but values never supplied"
-                )
-            self._fire()
-            return True
-        return False
-
-    def _fire(self) -> None:
-        # only ``fulfill`` calls this, once it has checked readiness
-        cbs, self.callbacks = self.callbacks, None
-        if cbs:
-            vals = self.values if self.values is not None else ()
+        deps -= n
+        self.deps = deps
+        if deps:
+            return False
+        values = self.values
+        if values is None and self.nvalues:
+            raise PromiseError(
+                "all dependencies cleared but values never supplied"
+            )
+        cbs = self.callbacks
+        if cbs is not None:
+            self.callbacks = None
+            if values is None:
+                values = ()
             for cb in cbs:
-                cb(vals)
+                cb(values)
+        return True
 
     # -- consumer side -----------------------------------------------------------
 
     def add_callback(self, cb: Callable[[tuple], None]) -> None:
         """Attach ``cb`` to run (synchronously) when the cell becomes ready.
         If already ready the callback runs immediately."""
-        if self.ready:
-            cb(self.result_tuple())
+        values = self.values
+        if self.deps == 0 and (values is not None or self.nvalues == 0):
+            cb(values if values is not None else ())
             return
-        if self.callbacks is None:
-            self.callbacks = []
-        self.callbacks.append(cb)
+        cbs = self.callbacks
+        if cbs is None:
+            self.callbacks = [cb]
+        else:
+            cbs.append(cb)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "ready" if self.ready else f"deps={self.deps}"
@@ -138,28 +143,25 @@ class PromiseCell:
 
 
 # ---------------------------------------------------------------------------
-# allocation factories (all heap accounting happens here)
+# allocation factories (all heap accounting happens here).  Each charges the
+# eventual free at allocation time (amortized); totals are identical and
+# tests can still count allocations exactly.
 # ---------------------------------------------------------------------------
-
-
-def _charge_alloc(ctx: "RankContext") -> None:
-    # The eventual free is charged at allocation time (amortized); totals
-    # are identical and tests can still count allocations exactly.
-    ctx.charge(_HEAP_ALLOC_PROMISE_CELL)
-    ctx.charge(_HEAP_FREE)
 
 
 def alloc_cell(ctx: "RankContext", nvalues: int = 0, deps: int = 1) -> PromiseCell:
     """A fresh non-ready cell (one heap allocation)."""
-    _charge_alloc(ctx)
-    return PromiseCell(nvalues=nvalues, deps=deps)
+    ctx.charge(_HEAP_ALLOC_PROMISE_CELL)
+    ctx.charge(_HEAP_FREE)
+    return PromiseCell(nvalues, deps)
 
 
 def ready_cell(ctx: "RankContext", values: tuple) -> PromiseCell:
     """A fresh ready cell holding ``values`` (one heap allocation —
     unavoidable for value-producing results, §III-B)."""
-    _charge_alloc(ctx)
-    cell = PromiseCell(nvalues=len(values), deps=0)
+    ctx.charge(_HEAP_ALLOC_PROMISE_CELL)
+    ctx.charge(_HEAP_FREE)
+    cell = PromiseCell(len(values), 0)
     if values:
         cell.values = values
     return cell
@@ -174,5 +176,6 @@ def ready_unit_cell(ctx: "RankContext") -> PromiseCell:
     """
     if ctx.flags.ready_future_shared_cell:
         return ctx.world.shared_ready_cell
-    _charge_alloc(ctx)
-    return PromiseCell(nvalues=0, deps=0)
+    ctx.charge(_HEAP_ALLOC_PROMISE_CELL)
+    ctx.charge(_HEAP_FREE)
+    return PromiseCell(0, 0)

@@ -257,6 +257,8 @@ source_cx = _CxFactory(_SOURCE)
 remote_cx = _CxFactory(_REMOTE)
 #: Operation-completion factory namespace (``operation_cx``).
 operation_cx = _CxFactory(_OPERATION)
+#: ``operation_cx.as_future()``: the default completion of every operation
+_OPERATION_FUTURE = operation_cx.as_future()
 
 
 class CxCounter:
@@ -454,35 +456,39 @@ class CxDispatcher:
         self.nvalues = nvalues
         self._futures: list[Future] = []
         ctx.charge(_COMPLETION_PROCESS)
-        flags = ctx.flags
         wants_source = wants_remote = False
-        for req in comps.requests:
-            event = req.event
-            if event not in supported:
-                raise CompletionError(
-                    f"{op_name} does not support {event.value} completion"
-                )
-            if event is _SOURCE:
-                wants_source = True
-            elif event is _REMOTE:
-                wants_remote = True
-            if (
-                req.eagerness != _DEFAULT
-                and not flags.eager_factories_available
-            ):
-                raise CompletionError(
-                    f"{req.describe()} requires the 2021.3.6 completion "
-                    f"factories (build is {ctx.config.version.value})"
-                )
-            if (
-                req.kind in (_CONTINUATION, _COUNTER)
-                and not flags.cx_continuations
-            ):
-                raise CompletionError(
-                    f"{req.describe()} requires "
-                    f"FeatureFlags.cx_continuations "
-                    f"(build is {ctx.config.version.value})"
-                )
+        # the shared default needs no check: every operation supports
+        # operation completion, and a default-discipline future needs no
+        # factory or flag
+        if comps is not _OPERATION_FUTURE:
+            flags = ctx.flags
+            for req in comps.requests:
+                event = req.event
+                if event not in supported:
+                    raise CompletionError(
+                        f"{op_name} does not support {event.value} completion"
+                    )
+                if event is _SOURCE:
+                    wants_source = True
+                elif event is _REMOTE:
+                    wants_remote = True
+                if (
+                    req.eagerness != _DEFAULT
+                    and not flags.eager_factories_available
+                ):
+                    raise CompletionError(
+                        f"{req.describe()} requires the 2021.3.6 completion "
+                        f"factories (build is {ctx.config.version.value})"
+                    )
+                if (
+                    req.kind in (_CONTINUATION, _COUNTER)
+                    and not flags.cx_continuations
+                ):
+                    raise CompletionError(
+                        f"{req.describe()} requires "
+                        f"FeatureFlags.cx_continuations "
+                        f"(build is {ctx.config.version.value})"
+                    )
         #: whether any request waits on the source / remote event (an
         #: operation with none skips that notification)
         self.wants_source = wants_source
@@ -553,7 +559,10 @@ class CxDispatcher:
             if req.event is not event:
                 continue
             if req.kind == _FUTURE:
-                if self._eager_allowed(req):
+                eagerness = req.eagerness
+                if eagerness == _EAGER or (
+                    eagerness != _DEFER and ctx.flags.eager_notification
+                ):
                     if vals:
                         self._futures.append(Future(ready_cell(ctx, vals)))
                     else:
@@ -561,7 +570,7 @@ class CxDispatcher:
                     if span is not None:
                         ctx.obs.close_notification(span, ctx.clock.now_ns)
                 else:
-                    cell = alloc_cell(ctx, nvalues=len(vals), deps=1)
+                    cell = alloc_cell(ctx, len(vals))
                     if vals or span is not None:
 
                         def ready_it(cell=cell, vals=vals, note=span):

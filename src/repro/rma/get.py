@@ -39,6 +39,8 @@ _MEMCPY_PER_BYTE = CostAction.MEMCPY_PER_BYTE
 _LOCALITY_BRANCH = CostAction.LOCALITY_BRANCH
 
 _GET_EVENTS = (_SOURCE, _OPERATION)
+#: the default completion (a shared constant), bound once
+_OPERATION_FUTURE = operation_cx.as_future()
 
 
 def rget(src: GlobalPtr, comps: Optional[Completions] = None):
@@ -49,7 +51,7 @@ def rget(src: GlobalPtr, comps: Optional[Completions] = None):
     if src.is_null:
         raise InvalidGlobalPointer("rget from a null global pointer")
     if comps is None:
-        comps = operation_cx.as_future()
+        comps = _OPERATION_FUTURE
     disp = CxDispatcher(
         ctx,
         comps,
@@ -89,7 +91,7 @@ def rget_into(
         raise ValueError("rget_into needs count >= 1")
     dest_ref = _resolve_dest(ctx, dest)
     if comps is None:
-        comps = operation_cx.as_future()
+        comps = _OPERATION_FUTURE
     disp = CxDispatcher(
         ctx, comps, supported=_GET_EVENTS, op_name="rget_into"
     )
@@ -130,7 +132,7 @@ def rget_bulk(src: GlobalPtr, count: int, comps: Optional[Completions] = None):
     if count < 1:
         raise ValueError("rget_bulk needs count >= 1")
     if comps is None:
-        comps = operation_cx.as_future()
+        comps = _OPERATION_FUTURE
     disp = CxDispatcher(
         ctx,
         comps,

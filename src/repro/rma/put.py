@@ -34,6 +34,8 @@ _LOCALITY_BRANCH = CostAction.LOCALITY_BRANCH
 _RMA_CALL_OVERHEAD = CostAction.RMA_CALL_OVERHEAD
 
 _PUT_EVENTS = (_SOURCE, _REMOTE, _OPERATION)
+#: the default completion (a shared constant), bound once
+_OPERATION_FUTURE = operation_cx.as_future()
 _SCALAR_TYPES = (int, float)
 
 
@@ -131,7 +133,7 @@ def rput(value, dest: GlobalPtr, comps: Optional[Completions] = None):
     if dest.is_null:
         raise InvalidGlobalPointer("rput to a null global pointer")
     if comps is None:
-        comps = operation_cx.as_future()
+        comps = _OPERATION_FUTURE
     disp = CxDispatcher(ctx, comps, supported=_PUT_EVENTS, op_name="rput")
     if dest.is_local(ctx):
         seg = ctx.world.segment_of(dest.rank)
@@ -154,7 +156,7 @@ def rput_bulk(values, dest: GlobalPtr, comps: Optional[Completions] = None):
     if arr.ndim != 1:
         raise ValueError("rput_bulk expects a 1-D sequence")
     if comps is None:
-        comps = operation_cx.as_future()
+        comps = _OPERATION_FUTURE
     disp = CxDispatcher(
         ctx, comps, supported=_PUT_EVENTS, op_name="rput_bulk"
     )

@@ -1,6 +1,10 @@
 """Unit tests for the promise-cell state machine and allocation factories."""
 
+from typing import Callable, Optional
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cell import (
     PromiseCell,
@@ -167,3 +171,198 @@ class TestFactories:
         assert cell is not c.world.shared_ready_cell
         assert cell.ready
         assert c.costs.count(CostAction.HEAP_ALLOC_PROMISE_CELL) == before + 1
+
+
+# ---------------------------------------------------------------------------
+# ``PromiseCell`` against the reference implementation below: a verbatim
+# copy of the class from before ``fulfill`` fired callbacks inline and the
+# write-only ``finalized`` slot went.
+# ---------------------------------------------------------------------------
+
+
+class ReferencePromiseCell:
+    """State machine shared by futures (consumers) and promises (producers).
+
+    A cell is *ready* once its dependency counter reaches zero; promises
+    start the counter at 1 (the master dependency cleared by
+    ``finalize()``), plain operation cells at 1 (cleared when the operation
+    completes), and conjoined cells at the number of non-ready inputs.
+    """
+
+    __slots__ = ("nvalues", "values", "deps", "finalized", "callbacks", "shared")
+
+    def __init__(self, nvalues: int = 0, deps: int = 1, shared: bool = False):
+        if deps < 0:
+            raise PromiseError("dependency count cannot be negative")
+        self.nvalues = nvalues
+        self.values: Optional[tuple] = () if nvalues == 0 else None
+        self.deps = deps
+        self.finalized = deps == 0
+        self.callbacks: Optional[list[Callable[[tuple], None]]] = None
+        self.shared = shared
+
+    # -- state ---------------------------------------------------------------
+
+    @property
+    def ready(self) -> bool:
+        return self.deps == 0 and (self.nvalues == 0 or self.values is not None)
+
+    def result_tuple(self) -> tuple:
+        if not self.ready:
+            raise FutureError("result requested from a non-ready future")
+        return self.values if self.values is not None else ()
+
+    # -- producer side ---------------------------------------------------------
+
+    def add_deps(self, n: int) -> None:
+        if self.ready:
+            raise PromiseError("cannot add dependencies to a ready cell")
+        if self.shared:
+            raise PromiseError("the shared ready cell is immutable")
+        self.deps += n
+
+    def set_values(self, values: tuple) -> None:
+        """Store the produced values (does not decrement the counter)."""
+        if self.shared:
+            raise PromiseError("the shared ready cell is immutable")
+        if len(values) != self.nvalues:
+            raise PromiseError(
+                f"cell expects {self.nvalues} values, got {len(values)}"
+            )
+        if self.nvalues and self.values is not None:
+            raise PromiseError("cell values already set")
+        self.values = values
+
+    def fulfill(self, n: int = 1) -> bool:
+        """Clear ``n`` dependencies; fire callbacks if the cell became
+        ready.  Returns True exactly when this call made it ready."""
+        if self.shared:
+            raise PromiseError("the shared ready cell is immutable")
+        if n < 0:
+            raise PromiseError("cannot fulfill a negative count")
+        if n > self.deps:
+            raise PromiseError(
+                f"over-fulfillment: {n} > outstanding {self.deps}"
+            )
+        if n == 0:
+            return False
+        self.deps -= n
+        if self.deps == 0:
+            if self.nvalues and self.values is None:
+                raise PromiseError(
+                    "all dependencies cleared but values never supplied"
+                )
+            self._fire()
+            return True
+        return False
+
+    def _fire(self) -> None:
+        # only ``fulfill`` calls this, once it has checked readiness
+        cbs, self.callbacks = self.callbacks, None
+        if cbs:
+            vals = self.values if self.values is not None else ()
+            for cb in cbs:
+                cb(vals)
+
+    # -- consumer side -----------------------------------------------------------
+
+    def add_callback(self, cb: Callable[[tuple], None]) -> None:
+        """Attach ``cb`` to run (synchronously) when the cell becomes ready.
+        If already ready the callback runs immediately."""
+        if self.ready:
+            cb(self.result_tuple())
+            return
+        if self.callbacks is None:
+            self.callbacks = []
+        self.callbacks.append(cb)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "ready" if self.ready else f"deps={self.deps}"
+        return f"<PromiseCell nvalues={self.nvalues} {state}>"
+
+
+#: ``fulfill`` counts: negative, zero, one, two, and one more than the
+#: cell's outstanding dependencies
+FULFILL_COUNTS = (-1, 0, 1, 2, "over")
+
+operation = st.one_of(
+    st.tuples(st.just("fulfill"), st.sampled_from(FULFILL_COUNTS)),
+    st.tuples(st.just("set_values"), st.integers(0, 2)),
+    st.tuples(st.just("add_deps"), st.integers(-1, 2)),
+    st.tuples(st.just("add_callback"), st.sampled_from(("plain", "nested"))),
+    st.tuples(st.just("result_tuple"), st.none()),
+)
+
+
+def _cell_trace(cls, nvalues, deps, shared, ops) -> list:
+    """Apply ``ops`` to a ``cls`` cell and record every return value,
+    exception, callback call (arguments and order) and the state after
+    each step."""
+    log: list = []
+    try:
+        cell = cls(nvalues=nvalues, deps=deps, shared=shared)
+    except PromiseError as exc:
+        return [("init", type(exc), str(exc))]
+
+    def state():
+        cbs = cell.callbacks
+        return (cell.nvalues, cell.values, cell.deps, cell.ready,
+                None if cbs is None else len(cbs))
+
+    for step, (name, arg) in enumerate(ops):
+        if name == "fulfill":
+            args = (cell.deps + 1 if arg == "over" else arg,)
+        elif name == "set_values":
+            args = (tuple(range(step, step + arg)),)
+        elif name == "add_deps":
+            args = (arg,)
+        elif name == "add_callback":
+            tag = f"cb{step}"
+            if arg == "plain":
+                args = (lambda vals, tag=tag: log.append((tag, vals)),)
+            else:
+                # re-enters the cell it fires from: a ready cell runs the
+                # inner callback at once
+                def nested(vals, tag=tag):
+                    log.append((tag, vals))
+                    cell.add_callback(
+                        lambda v, tag=tag: log.append((tag + "-inner", v)))
+
+                args = (nested,)
+        else:
+            args = ()
+        try:
+            out = getattr(cell, name)(*args)
+        except (PromiseError, FutureError) as exc:
+            out = (type(exc), str(exc))
+        log.append((step, name, out, state()))
+    return log
+
+
+class TestAgainstReference:
+    """Random operation sequences give the same results, errors and
+    callback calls on ``PromiseCell`` and the reference class."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        nvalues=st.integers(0, 2),
+        deps=st.integers(-1, 3),
+        shared=st.booleans(),
+        ops=st.lists(operation, max_size=12),
+    )
+    def test_matches_reference(self, nvalues, deps, shared, ops):
+        live = _cell_trace(PromiseCell, nvalues, deps, shared, ops)
+        ref = _cell_trace(ReferencePromiseCell, nvalues, deps, shared, ops)
+        assert live == ref
+
+    def test_shared_ready_cell_matches_reference(self, ctx):
+        """The world's shared ready cell refuses every mutation, as the
+        reference class's shared cell does."""
+        ops = [("fulfill", 1), ("fulfill", 0), ("set_values", 0),
+               ("add_deps", 1), ("add_callback", "plain"),
+               ("result_tuple", None)]
+        shared = ctx.world.shared_ready_cell
+        live = _cell_trace(
+            lambda **kw: shared, shared.nvalues, shared.deps, True, ops)
+        ref = _cell_trace(ReferencePromiseCell, 0, 0, True, ops)
+        assert live == ref

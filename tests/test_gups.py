@@ -1,7 +1,12 @@
 """Tests for the GUPS application (HPCC RandomAccess)."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.apps.gups import (
     GUPS_VARIANTS,
@@ -273,3 +278,43 @@ class TestMultiNodeGups:
                 n_nodes=2,
                 conduit="udp",
             )
+
+
+class TestDeferredPathCallCount:
+    """The deferred notification path's Python work as a deterministic
+    count: calls to named ``repro`` functions per update of a defer
+    ``rma_future`` GUPS (4 ranks x 64 updates), world set-up included.
+    Comprehension, generator-expression and lambda code objects are not
+    counted, so Python 3.10-3.12 agree.
+
+    Before the promise cell fired inline, the two-future ``when_all`` took
+    a direct path with the vertex as its own result cell, and the default
+    completion skipped re-validation, this read 174.3 calls per update.  A
+    wall-clock floor would depend on the runner; this count does not."""
+
+    #: calls per update this path makes now (a ceiling, not a target)
+    MAX_CALLS_PER_UPDATE = 131.2
+
+    def test_calls_per_update(self):
+        version = Version.V2021_3_6_DEFER
+        cfg = GupsConfig("rma_future", table_log2=10, updates_per_rank=64,
+                         batch=32, seed=1)
+        root = os.path.dirname(repro.__file__) + os.sep
+        calls = [0]
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                code = frame.f_code
+                if (code.co_filename.startswith(root)
+                        and not code.co_name.startswith("<")):
+                    calls[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            res = run_gups(cfg, ranks=4, version=version, machine="intel",
+                           flags=flags_for(version))
+        finally:
+            sys.setprofile(None)
+        assert res.total_updates == 4 * 64
+        per_update = calls[0] / res.total_updates
+        assert per_update <= self.MAX_CALLS_PER_UPDATE, per_update

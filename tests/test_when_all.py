@@ -1,11 +1,17 @@
 """Unit tests for ``when_all`` conjoining and the §III-C short-cuts."""
 
-import pytest
+import itertools
 
-from repro.core.cell import PromiseCell
-from repro.core.future import Future, make_future
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.cell import PromiseCell, alloc_cell
+from repro.core.future import Future, make_future, to_future
 from repro.core.when_all import when_all
-from repro.runtime.config import Version
+from repro.runtime.config import RuntimeConfig, Version
+from repro.runtime.context import current_ctx, set_current_ctx
+from repro.runtime.runtime import build_world
 from repro.sim.costmodel import CostAction
 
 
@@ -141,3 +147,200 @@ class TestCostScaling:
         for _ in range(20):
             f = when_all(f, make_future())
         assert c.costs.count(CostAction.WHEN_ALL_NODE_BUILD) == n0
+
+
+# ---------------------------------------------------------------------------
+# Two-future ``when_all`` against the reference implementation below: a
+# verbatim copy of the general ``*inputs`` path (and its separate result
+# cell) from before ``when_all(a, b)`` of two futures took a direct path
+# and the vertex became its own result cell.
+# ---------------------------------------------------------------------------
+
+_FUTURE_READY_CHECK = CostAction.FUTURE_READY_CHECK
+_WHEN_ALL_NODE_BUILD = CostAction.WHEN_ALL_NODE_BUILD
+_DEP_GRAPH_RESOLVE_EDGE = CostAction.DEP_GRAPH_RESOLVE_EDGE
+
+
+def reference_when_all(*inputs) -> Future:
+    """Combine futures/values into a single future.
+
+    Non-future inputs are treated as ready single-value futures (UPC++
+    semantics).  The result carries the concatenation of all input values
+    in argument order, and becomes ready when every input is ready.
+    """
+    ctx = current_ctx()
+    futures = [to_future(x) for x in inputs]
+
+    if ctx.flags.when_all_shortcuts:
+        shortcut = _try_shortcut(ctx, futures)
+        if shortcut is not None:
+            return shortcut
+    return _build_conjoined(ctx, futures)
+
+
+def _try_shortcut(ctx, futures: list[Future]) -> Future | None:
+    """Apply the §III-C rules; None means 'use the graph'."""
+    contributor: Future | None = None
+    for fut in futures:
+        ctx.charge(_FUTURE_READY_CHECK)
+        cell = fut._cell
+        if cell.ready and cell.nvalues == 0:
+            continue  # contributes neither values nor readiness
+        if contributor is not None:
+            return None  # two contributors: need the graph
+        contributor = fut
+    if contributor is not None:
+        return contributor
+    # all inputs ready and value-less (or no inputs at all)
+    if futures:
+        return futures[0]
+    from repro.core.future import make_future
+
+    return make_future()
+
+
+def _build_conjoined(ctx, futures: list[Future]) -> Future:
+    """Legacy dependency-graph construction."""
+    ctx.charge(_WHEN_ALL_NODE_BUILD)
+    total_values = sum(f._cell.nvalues for f in futures)
+    pending = [f for f in futures if not f._cell.ready]
+    result = alloc_cell(
+        ctx, nvalues=total_values, deps=max(1, len(pending))
+    )
+    node = _Vertex(ctx, futures, result, total_values, len(pending))
+
+    if not pending:
+        # inputs all ready but shortcuts disabled (or value-bearing):
+        # the graph node still gets built, then resolves immediately.
+        ctx.charge(_DEP_GRAPH_RESOLVE_EDGE, len(futures))
+        node.finish()
+        result.fulfill(1)
+        return Future(result)
+
+    on_input_ready = node.on_input_ready
+    for f in pending:
+        f._cell.add_callback(on_input_ready)
+    # edges to already-ready inputs are resolved at construction time
+    ctx.charge(_DEP_GRAPH_RESOLVE_EDGE, len(futures) - len(pending))
+    return Future(result)
+
+
+class _Vertex:
+    """One dependency-graph vertex: readies ``result`` once its last
+    pending input readies (slotted, so a vertex is one small object where
+    two closures and their cells used to be)."""
+
+    __slots__ = ("ctx", "futures", "result", "total_values", "remaining")
+
+    def __init__(self, ctx, futures: list[Future], result, total_values: int,
+                 remaining: int):
+        self.ctx = ctx
+        self.futures = futures
+        self.result = result
+        self.total_values = total_values
+        self.remaining = remaining
+
+    def finish(self) -> None:
+        if self.total_values:
+            vals: list = []
+            for f in self.futures:
+                vals.extend(f._cell.result_tuple())
+            self.result.values = tuple(vals)
+        # else: values stays () from construction
+
+    def on_input_ready(self, _vals: tuple) -> None:
+        self.ctx.charge(_DEP_GRAPH_RESOLVE_EDGE)
+        self.remaining -= 1
+        if self.remaining == 0:
+            self.finish()
+        self.result.fulfill(1)
+
+
+#: the argument kinds drawn for each input of ``when_all(a, b)``
+INPUT_KINDS = (
+    "shared",          # the world's shared ready cell
+    "ready_unit",      # an allocated ready value-less cell
+    "ready_values",    # a ready value-bearing cell
+    "pending_unit",    # a pending value-less cell
+    "pending_values",  # a pending value-bearing cell
+)
+
+
+def _make_input(kind: str, tag: int) -> Future:
+    ctx = current_ctx()
+    if kind == "shared":
+        return Future(ctx.world.shared_ready_cell)
+    if kind == "ready_unit":
+        return Future(PromiseCell(nvalues=0, deps=0))
+    if kind == "ready_values":
+        cell = PromiseCell(nvalues=2, deps=0)
+        cell.values = (tag, tag + 1)
+        return Future(cell)
+    if kind == "pending_unit":
+        return Future(PromiseCell(nvalues=0, deps=1))
+    return Future(PromiseCell(nvalues=2, deps=1))
+
+
+def _conjoin_trace(conjoin, version, kinds, same, order) -> list:
+    """Run ``conjoin(a, b)`` on a fresh world and record everything a
+    caller can observe: which object came back, its readiness and values,
+    the action counts charged, and every callback (user and scheduler
+    wake) in firing order as the pending inputs complete in ``order``."""
+    world = build_world(RuntimeConfig(version=version))
+    ctx = world.contexts[0]
+    set_current_ctx(ctx)
+    a = _make_input(kinds[0], 10)
+    b = a if same else _make_input(kinds[1], 20)
+    inputs = {"a": a, "b": b}
+    log: list = []
+
+    def recorder(tag):
+        return lambda vals: log.append((tag, vals))
+
+    for name, fut in inputs.items():
+        if not fut._cell.ready:
+            fut._cell.add_callback(recorder(f"before-{name}"))
+    snap = ctx.costs.snapshot()
+    out = conjoin(a, b)
+    who = "a" if out is a else "b" if out is b else "new"
+    log.append(("returned", who, out._cell.ready, out._cell.nvalues))
+    for name, fut in inputs.items():
+        if not fut._cell.ready:
+            fut._cell.add_callback(recorder(f"after-{name}"))
+    out._cell.add_callback(recorder("result"))
+    # what ``EventLoopScheduler._enter_blocked`` registers for a rank that
+    # parks on ``("cell", cell)``
+    out._cell.add_callback(lambda _vals, r=3, g=1: log.append(("wake", r, g)))
+    log.append(("charged", sorted(
+        (a.name, n) for a, n in (ctx.costs.snapshot() - snap).items())))
+    pending = [n for n in ("a", "b") if not inputs[n]._cell.ready
+               and not (same and n == "b")]
+    for name in sorted(pending, key=order.index):
+        cell = inputs[name]._cell
+        if cell.nvalues:
+            cell.values = (ord(name), ord(name) + 1)
+        cell.fulfill()
+        log.append(("completed", name, out._cell.ready))
+    log.append(("final", out._cell.ready, out.result_tuple()))
+    log.append(("charged", sorted(
+        (a.name, n) for a, n in (ctx.costs.snapshot() - snap).items())))
+    set_current_ctx(None)
+    return log
+
+
+class TestPairAgainstReference:
+    """``when_all(a, b)`` of two futures matches the reference general
+    path on every build, input kind, aliasing and completion order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        version=st.sampled_from(list(Version)),
+        kinds=st.tuples(st.sampled_from(INPUT_KINDS),
+                        st.sampled_from(INPUT_KINDS)),
+        same=st.booleans(),
+        order=st.sampled_from(list(itertools.permutations("ab"))),
+    )
+    def test_matches_reference(self, version, kinds, same, order):
+        live = _conjoin_trace(when_all, version, kinds, same, order)
+        ref = _conjoin_trace(reference_when_all, version, kinds, same, order)
+        assert live == ref

@@ -195,9 +195,6 @@ class GupsResult:
     am_injects: int = 0
     am_bundles: int = 0
     am_agg_entries: int = 0
-    #: mean simulated parking latency of an aggregated entry (append to
-    #: flush)
-    agg_mean_parked_ns: float = 0.0
     #: the full world-wide aggregation rollup (histogram, flush-trigger
     #: tally) for report rendering
     agg_stats: "AggregationStats | None" = None
@@ -206,7 +203,7 @@ class GupsResult:
     #: only; empty tuple otherwise) — feed these to
     #: :func:`repro.obs.write_chrome_trace` for a Perfetto timeline
     obs_snapshots: tuple = ()
-    #: world-wide span/metrics rollup (:class:`repro.obs.ObsStats`),
+    #: world-wide span rollup (:class:`repro.obs.ObsStats`),
     #: ``None`` unless the run had ``obs_spans`` on
     obs_stats: "object | None" = None
 
@@ -307,7 +304,7 @@ def _run_raw(ctx, cfg, bases, per_rank, stream):
     if ctx.world.n_nodes != 1:
         raise ValueError("the raw variant supports single-node runs only")
     views = [
-        ctx.world.segment_of(b.rank).view_array(b.offset, b.ts, per_rank)
+        ctx.world.segments[b.rank].view_array(b.offset, b.ts, per_rank)
         for b in bases
     ]
     for ran in stream:
@@ -548,7 +545,6 @@ def run_gups(
         flags=flags,
         noise=noise,
     )
-    agg = aggregation_stats(res.world)
     obs_snaps = tuple(observability_snapshots(res.world))
     obs = observability_stats(res.world) if obs_snaps else None
     solve_ns = max(v[0] for v in res.values)
@@ -574,8 +570,7 @@ def run_gups(
         am_injects=res.world.total_count(CostAction.AM_INJECT),
         am_bundles=res.world.total_count(CostAction.AM_BUNDLE_HEADER),
         am_agg_entries=res.world.total_count(CostAction.AM_AGG_APPEND),
-        agg_mean_parked_ns=agg.mean_parked_ns,
-        agg_stats=agg,
+        agg_stats=aggregation_stats(res.world),
         obs_snapshots=obs_snaps,
         obs_stats=obs,
         progress_polls=res.world.total_count(CostAction.PROGRESS_POLL),

@@ -222,7 +222,7 @@ class AtomicDomain:
         # Concurrent atomics from co-located peers contend on cache
         # lines and fences; the penalty scales with the peer count.
         disp.mark_injected(target.rank, target.ts.size, local=True)
-        seg = ctx.world.segment_of(target.rank)
+        seg = ctx.world.segments[target.rank]
         ctx.charge(_CPU_ATOMIC_RMW)
         peers = ctx.world.ranks_per_node - 1
         if peers > 0:
@@ -253,7 +253,7 @@ class AtomicDomain:
         ts = target.ts
 
         def on_target(tctx):
-            seg = tctx.world.segment_of(target.rank)
+            seg = tctx.world.segments[target.rank]
             tctx.charge(_CPU_ATOMIC_RMW)
             peers = tctx.world.ranks_per_node - 1
             if peers > 0:
@@ -300,7 +300,7 @@ class AtomicDomain:
                     "fetch-into destination must be locally addressable"
                 )
             return LocalRef(
-                ctx.world.segment_of(dest.rank), dest.offset, dest.ts
+                ctx.world.segments[dest.rank], dest.offset, dest.ts
             )
         raise TypeError("fetch-into destination must be GlobalPtr or LocalRef")
 

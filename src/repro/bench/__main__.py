@@ -133,6 +133,9 @@ def cmd_trace(args) -> None:
             res.obs_stats,
         )
     )
+    if res.am_injects:
+        print(f"\nAM traffic: {res.am_injects} injected, "
+              f"{res.am_bundles} bundles")
     if args.timeline:
         print()
         print(format_span_timeline(res.obs_snapshots, limit=args.timeline))

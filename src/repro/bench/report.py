@@ -286,7 +286,7 @@ def format_notification_report(title: str, stats) -> str:
     """Render a world-wide :class:`~repro.obs.ObsStats` rollup: the
     notification-gap distribution per (mode, locality) class — the
     paper's eager-vs-defer story as measured from spans — plus span
-    accounting and progress-engine metrics."""
+    accounting and the deferred-queue depth at ``progress()`` entry."""
     lines = [title, "=" * len(title)]
     lines.append(
         f"spans: {stats.total_spans} recorded across {stats.ranks} ranks"
@@ -313,19 +313,14 @@ def format_notification_report(title: str, stats) -> str:
         lines.append("")
         lines.append(f"gap histogram [{mode}/{locality}] (ns):")
         lines.extend(_fmt_hist_rows(gap.hist))
-    depth = stats.metrics.histograms.get("progress.deferred_depth")
-    if depth is not None and depth.n:
+    depth = stats.depth
+    if depth.n:
         lines.append("")
         lines.append(
             f"deferred-queue depth at progress() entry "
             f"({depth.n} samples, mean {depth.mean:.2f}):"
         )
         lines.extend(_fmt_hist_rows(depth))
-    if stats.metrics.counters:
-        lines.append("")
-        lines.append("counters:")
-        for name in sorted(stats.metrics.counters):
-            lines.append(f"  {name:>24}  {stats.metrics.counters[name]}")
     return "\n".join(lines)
 
 

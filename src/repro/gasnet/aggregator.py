@@ -64,7 +64,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from repro.obs.metrics import DEPTH_EDGES as _BUNDLE_DEPTH_EDGES
 from repro.sim.costmodel import CostAction
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -247,15 +246,8 @@ class AmAggregator:
         entries, payload = buf.take()
         ctx = self._ctx
         now = ctx.clock.now_ns
-        obs = ctx.obs
         for e in entries:
             self.parked_ns_total += now - e.ts_ns
-            if obs is not None:
-                obs.metrics.histogram("agg.parked_ns").record(now - e.ts_ns)
-        if obs is not None:
-            obs.metrics.histogram(
-                "agg.bundle_entries", _BUNDLE_DEPTH_EDGES
-            ).record(len(entries))
         ctx.conduit.send_bundle(ctx, dst_rank, entries, payload)
         self.bundles_flushed += 1
         self.entries_flushed += len(entries)
@@ -276,7 +268,7 @@ class AmAggregator:
         """Always 0: kept only because perfbench's ENTRY_POINTS names it."""
         return 0
 
-    # -- observability -----------------------------------------------------
+    # -- statistics --------------------------------------------------------
 
     def stats(self) -> AggregatorSnapshot:
         """An immutable snapshot of this rank's aggregation activity."""

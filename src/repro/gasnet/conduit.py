@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Callable
 from repro.errors import UpcxxError
 from repro.gasnet.am import ActiveMessage
 from repro.gasnet.aggregator import bundle_framing
-from repro.obs.metrics import DEPTH_EDGES
 from repro.sim.costmodel import CostAction
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -175,9 +174,6 @@ class Conduit:
         src_ctx.charge(_AM_INJECT)
         if nbytes:
             src_ctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
-        obs = src_ctx.obs
-        if obs is not None:
-            obs.metrics.counter("conduit.am_injected").inc()
         if same_node:
             latency = _PSHM_AM_LATENCY_NS
         else:
@@ -211,10 +207,6 @@ class Conduit:
         src_ctx.charge(_AM_INJECT)
         framing = bundle_framing(len(entries))
         src_ctx.charge_bytes(_MEMCPY_PER_BYTE, framing)
-        obs = src_ctx.obs
-        if obs is not None:
-            obs.metrics.counter("conduit.bundles_sent").inc()
-            obs.metrics.counter("conduit.am_injected").inc()
         wire_bytes = payload_bytes + framing
         arrival = src_ctx.clock.now_ns + self.am_latency_ns(
             src_ctx.rank, dst_rank, wire_bytes
@@ -240,20 +232,11 @@ class Conduit:
         if not inbox:
             return False
         ctx.charge(_AM_POLL)
-        obs = ctx.obs
-        if obs is not None:
-            obs.metrics.histogram(
-                "conduit.inbox_depth", DEPTH_EDGES
-            ).record(len(inbox))
-        delivered = 0
         while inbox:
             msg = inbox.popleft()
             ctx.clock.advance_to(msg.arrival_ns)
             ctx.charge(_AM_EXECUTE)
             msg.handler(ctx, *msg.args)
-            delivered += 1
-        if obs is not None:
-            obs.metrics.counter("conduit.am_delivered").inc(delivered)
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

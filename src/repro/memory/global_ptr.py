@@ -102,7 +102,7 @@ class GlobalPtr:
                 f"addressable from rank {ctx.rank}"
             )
         ctx.charge(_GPTR_DOWNCAST)
-        return LocalRef(ctx.world.segment_of(self.rank), self.offset, self.ts)
+        return LocalRef(ctx.world.segments[self.rank], self.offset, self.ts)
 
     # -- arithmetic ----------------------------------------------------------
 

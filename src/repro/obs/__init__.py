@@ -4,22 +4,18 @@ Gated behind ``FeatureFlags.obs_spans`` (default off).  When the flag is
 off, ``RankContext.obs`` stays ``None`` and every instrumentation site
 reduces to one attribute check (the pattern ``RankContext.am_agg`` also
 uses), so all existing figures are bit-identical.  When on, each rank
-records :class:`~repro.obs.span.OpSpan` lifecycles and a
-:class:`~repro.obs.metrics.MetricsRegistry`, exportable as a
-Chrome/Perfetto trace (:func:`~repro.obs.export.chrome_trace`) or rolled
-up world-wide (:func:`~repro.obs.span.merge_obs_snapshots`).
+records :class:`~repro.obs.span.OpSpan` lifecycles and its deferred-queue
+depth at every ``progress()`` entry, exportable as a Chrome/Perfetto
+trace (:func:`~repro.obs.export.chrome_trace`) or rolled up world-wide
+(:func:`~repro.obs.span.merge_obs_snapshots`).  Action counts are the
+cost model's (``RankContext.costs``); nothing here counts them again.
 """
 
 from repro.obs.metrics import (
     DEPTH_EDGES,
     LATENCY_EDGES_NS,
-    SIZE_EDGES_BYTES,
-    CounterMetric,
     HistogramMetric,
     HistogramSnapshot,
-    MetricsRegistry,
-    MetricsSnapshot,
-    merge_metrics,
 )
 from repro.obs.percentiles import (
     DEFAULT_REL_ERR,
@@ -47,13 +43,9 @@ from repro.obs.export import (
 __all__ = [
     "DEPTH_EDGES",
     "LATENCY_EDGES_NS",
-    "SIZE_EDGES_BYTES",
-    "CounterMetric",
     "GapStats",
     "HistogramMetric",
     "HistogramSnapshot",
-    "MetricsRegistry",
-    "MetricsSnapshot",
     "DEFAULT_REL_ERR",
     "ObsSnapshot",
     "ObsState",
@@ -65,7 +57,6 @@ __all__ = [
     "RequestSpan",
     "SpanRecorder",
     "chrome_trace",
-    "merge_metrics",
     "merge_obs_snapshots",
     "merge_percentiles",
     "trace_events",

@@ -1,16 +1,14 @@
-"""A lightweight metrics registry: counters and fixed-bucket histograms.
+"""Fixed-bucket histograms: the notification-gap and queue-depth records.
 
 The observability layer needs distributions, not just totals — the paper's
 argument (and the MPI Continuations / HPX+LCI follow-ups) is that
 notification-latency *distributions* and progress-engine behaviour over
-time are what distinguish completion designs.  This module provides the
-minimal machinery for that: named monotonic counters and histograms with
-fixed bucket edges, owned per rank by :class:`~repro.obs.span.ObsState`
-and merged world-wide by :func:`merge_metrics`.
+time are what distinguish completion designs.  Counts of actions are not
+kept here: the cost model already counts every action per rank.
 
 Design constraints:
 
-* **Zero simulated cost** — recording a metric never charges the cost
+* **Zero simulated cost** — recording a value never charges the cost
   model or touches the virtual clock, so enabling observability cannot
   perturb any measured figure.
 * **Fixed buckets** — edges are chosen at creation and never rebalance,
@@ -31,24 +29,8 @@ LATENCY_EDGES_NS = (
     1e3, 2.5e3, 5e3, 1e4, 5e4, 1e5, 1e6,
 )
 
-#: Default bucket edges for queue depths / batch sizes.
+#: Default bucket edges for queue depths.
 DEPTH_EDGES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
-
-#: Default bucket edges for payload sizes in bytes.
-SIZE_EDGES_BYTES = (0.0, 8.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0)
-
-
-class CounterMetric:
-    """A named monotonic counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
 
 
 @dataclass(frozen=True)
@@ -165,49 +147,11 @@ class HistogramMetric:
         )
 
 
-@dataclass(frozen=True)
-class MetricsSnapshot:
-    """Immutable view of one registry (or a merge of several)."""
-
-    counters: dict[str, int]
-    histograms: dict[str, HistogramSnapshot]
-
-
-class MetricsRegistry:
-    """Per-rank named metrics, created lazily on first use."""
-
-    __slots__ = ("_counters", "_histograms")
-
-    def __init__(self):
-        self._counters: dict[str, CounterMetric] = {}
-        self._histograms: dict[str, HistogramMetric] = {}
-
-    def counter(self, name: str) -> CounterMetric:
-        c = self._counters.get(name)
-        if c is None:
-            c = self._counters[name] = CounterMetric(name)
-        return c
-
-    def histogram(
-        self, name: str, edges: Iterable[float] = LATENCY_EDGES_NS
-    ) -> HistogramMetric:
-        h = self._histograms.get(name)
-        if h is None:
-            h = self._histograms[name] = HistogramMetric(name, edges)
-        return h
-
-    def snapshot(self) -> MetricsSnapshot:
-        return MetricsSnapshot(
-            counters={n: c.value for n, c in self._counters.items()},
-            histograms={
-                n: h.snapshot() for n, h in self._histograms.items()
-            },
-        )
-
-
 def _merge_hist(
     a: HistogramSnapshot, b: HistogramSnapshot
 ) -> HistogramSnapshot:
+    """Element-wise sum of two snapshots of one histogram (how per-rank
+    records merge into the world-wide view)."""
     if a.edges != b.edges:
         raise ValueError(
             f"cannot merge histograms {a.name!r}: differing bucket edges"
@@ -223,15 +167,3 @@ def _merge_hist(
         min=min(mins) if mins else None,
         max=max(maxs) if maxs else None,
     )
-
-
-def merge_metrics(snapshots: Iterable[MetricsSnapshot]) -> MetricsSnapshot:
-    """Element-wise merge of per-rank registries (the world-wide view)."""
-    counters: dict[str, int] = {}
-    hists: dict[str, HistogramSnapshot] = {}
-    for snap in snapshots:
-        for name, value in snap.counters.items():
-            counters[name] = counters.get(name, 0) + value
-        for name, h in snap.histograms.items():
-            hists[name] = _merge_hist(hists[name], h) if name in hists else h
-    return MetricsSnapshot(counters=counters, histograms=hists)

@@ -43,9 +43,7 @@ from repro.obs.metrics import (
     LATENCY_EDGES_NS,
     HistogramMetric,
     HistogramSnapshot,
-    MetricsRegistry,
-    MetricsSnapshot,
-    merge_metrics,
+    _merge_hist,
 )
 from repro.obs.request import RequestRecorder, RequestSpan
 
@@ -160,7 +158,8 @@ class ObsSnapshot:
     spans_dropped: int
     #: (t_ns, deferred-queue depth) sampled at each ``progress()`` entry.
     depth_samples: tuple[tuple[float, int], ...]
-    metrics: MetricsSnapshot
+    #: the same depths as a histogram (every sample, none dropped)
+    depth: HistogramSnapshot
     #: request-lifecycle spans from the serve driver (empty outside a
     #: served run — see :mod:`repro.obs.request`)
     request_spans: tuple[RequestSpan, ...] = ()
@@ -202,7 +201,8 @@ class ObsStats:
     #: gap distributions restricted to spans some caller blocked on
     #: (``t_waited`` stamped)
     waited_gaps: dict[tuple[str, str], GapStats]
-    metrics: MetricsSnapshot
+    #: deferred-queue depth at every ``progress()`` entry, all ranks
+    depth: HistogramSnapshot
     #: request-lifecycle accounting (zeros outside a served run)
     total_requests: int = 0
     total_requests_dropped: int = 0
@@ -211,9 +211,6 @@ class ObsStats:
 
     def gap(self, mode: str, locality: str) -> Optional[GapStats]:
         return self.gaps.get((mode, locality))
-
-    def waited_gap(self, mode: str, locality: str) -> Optional[GapStats]:
-        return self.waited_gaps.get((mode, locality))
 
 
 def merge_obs_snapshots(snapshots: Iterable[ObsSnapshot]) -> ObsStats:
@@ -228,7 +225,9 @@ def merge_obs_snapshots(snapshots: Iterable[ObsSnapshot]) -> ObsStats:
     total_requests_dropped = 0
     requests_by_op: dict[str, int] = {}
     slo_misses = 0
+    depth = HistogramMetric("progress.deferred_depth", DEPTH_EDGES).snapshot()
     for snap in snaps:
+        depth = _merge_hist(depth, snap.depth)
         total_spans += len(snap.spans) + snap.spans_dropped
         total_dropped += snap.spans_dropped
         total_requests += len(snap.request_spans) + snap.request_spans_dropped
@@ -271,7 +270,7 @@ def merge_obs_snapshots(snapshots: Iterable[ObsSnapshot]) -> ObsStats:
             key: GapStats(mode=key[0], locality=key[1], hist=h.snapshot())
             for key, h in sorted(waited_hists.items())
         },
-        metrics=merge_metrics(s.metrics for s in snaps),
+        depth=depth,
         total_requests=total_requests,
         total_requests_dropped=total_requests_dropped,
         requests_by_op=requests_by_op,
@@ -289,16 +288,14 @@ class ObsState:
 
     MAX_DEPTH_SAMPLES = 100_000
 
-    __slots__ = ("ctx", "spans", "requests", "metrics", "depth_samples",
-                 "depth_samples_dropped")
+    __slots__ = ("ctx", "spans", "requests", "depth", "depth_samples")
 
     def __init__(self, ctx: "RankContext"):
         self.ctx = ctx
         self.spans = SpanRecorder(ctx.rank, SPAN_CAPACITY)
         self.requests = RequestRecorder(ctx.rank, SPAN_CAPACITY)
-        self.metrics = MetricsRegistry()
+        self.depth = HistogramMetric("progress.deferred_depth", DEPTH_EDGES)
         self.depth_samples: list[tuple[float, int]] = []
-        self.depth_samples_dropped = 0
 
     # -- span lifecycle ------------------------------------------------
 
@@ -336,31 +333,18 @@ class ObsState:
         )
 
     def close_notification(self, span: OpSpan, now_ns: float) -> None:
-        """Stamp notification dispatch and feed the gap histogram."""
+        """Stamp notification dispatch (the gap's second end)."""
         if span.t_transfer is None:
             span.t_transfer = now_ns
-        if span.t_dispatched is not None:
-            return  # already closed (e.g. multi-cell fulfilment)
-        span.t_dispatched = now_ns
-        self.metrics.histogram(
-            f"notify_gap_ns.{span.mode}.{span.locality}", LATENCY_EDGES_NS
-        ).record(now_ns - span.t_transfer)
+        if span.t_dispatched is None:  # else already closed (multi-cell)
+            span.t_dispatched = now_ns
 
     # -- progress-engine signals ---------------------------------------
 
     def on_progress_enter(self, depth: int, now_ns: float) -> None:
-        self.metrics.histogram(
-            "progress.deferred_depth", DEPTH_EDGES
-        ).record(depth)
+        self.depth.record(depth)
         if len(self.depth_samples) < self.MAX_DEPTH_SAMPLES:
             self.depth_samples.append((now_ns, depth))
-        else:
-            self.depth_samples_dropped += 1
-
-    def on_progress_drained(self, batch: int) -> None:
-        self.metrics.histogram(
-            "progress.drain_batch", DEPTH_EDGES
-        ).record(batch)
 
     # -- snapshotting --------------------------------------------------
 
@@ -371,7 +355,7 @@ class ObsState:
             spans=tuple(self.spans.spans),
             spans_dropped=self.spans.dropped,
             depth_samples=tuple(self.depth_samples),
-            metrics=self.metrics.snapshot(),
+            depth=self.depth.snapshot(),
             request_spans=tuple(self.requests.spans),
             request_spans_dropped=self.requests.dropped,
         )

@@ -69,7 +69,7 @@ def rget(src: GlobalPtr, comps: Optional[Completions] = None):
         disp.mark_injected(src.rank, src.ts.size, local=True)
         if disp.wants_source:
             disp.notify_sync(_SOURCE)
-        value = ctx.world.segment_of(src.rank).read_scalar(src.offset, src.ts)
+        value = ctx.world.segments[src.rank].read_scalar(src.offset, src.ts)
         disp.notify_sync(_OPERATION, (value,))
         return disp.result()
     return _remote_get(ctx, disp, src, count=None, dest=None)
@@ -104,7 +104,7 @@ def rget_into(
         disp.mark_injected(src.rank, nbytes, local=True)
         if disp.wants_source:
             disp.notify_sync(_SOURCE)
-        seg = ctx.world.segment_of(src.rank)
+        seg = ctx.world.segments[src.rank]
         if count == 1 and dest_ref.ts is src.ts:
             # one element, no conversion: skip the array round trip
             value = seg.read_scalar(src.offset, src.ts)
@@ -151,7 +151,7 @@ def rget_bulk(src: GlobalPtr, count: int, comps: Optional[Completions] = None):
         if disp.wants_source:
             disp.notify_sync(_SOURCE)
         ctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
-        data = ctx.world.segment_of(src.rank).read_array(
+        data = ctx.world.segments[src.rank].read_array(
             src.offset, src.ts, count
         )
         disp.notify_sync(_OPERATION, (data,))
@@ -170,7 +170,7 @@ def _resolve_dest(ctx, dest: Union[GlobalPtr, LocalRef]) -> LocalRef:
                 "rget_into destination must be locally addressable"
             )
         return LocalRef(
-            ctx.world.segment_of(dest.rank), dest.offset, dest.ts
+            ctx.world.segments[dest.rank], dest.offset, dest.ts
         )
     raise TypeError("rget_into dest must be a GlobalPtr or LocalRef")
 
@@ -188,7 +188,7 @@ def _remote_get(ctx, disp, src: GlobalPtr, *, count, dest, bulk=False):
     nbytes = n * src.ts.size
 
     def on_target(tctx):
-        seg = tctx.world.segment_of(src.rank)
+        seg = tctx.world.segments[src.rank]
         if count is None:
             tctx.charge(_CPU_LOAD)
             data = seg.read_scalar(src.offset, src.ts)

@@ -95,12 +95,12 @@ def _remote_put(ctx, disp: CxDispatcher, dest: GlobalPtr, payload, nbytes: int):
     def on_target(tctx, dest=dest, payload=payload):
         # the exact-type test spares an int or float the np.ndim call
         if type(payload) in _SCALAR_TYPES or np.ndim(payload) == 0:
-            tctx.world.segment_of(dest.rank).write_scalar(
+            tctx.world.segments[dest.rank].write_scalar(
                 dest.offset, dest.ts, payload
             )
             tctx.charge(_MEMCPY_8B)
         else:
-            tctx.world.segment_of(dest.rank).write_array(
+            tctx.world.segments[dest.rank].write_array(
                 dest.offset, dest.ts, payload
             )
             tctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
@@ -136,7 +136,7 @@ def rput(value, dest: GlobalPtr, comps: Optional[Completions] = None):
         comps = _OPERATION_FUTURE
     disp = CxDispatcher(ctx, comps, supported=_PUT_EVENTS, op_name="rput")
     if dest.is_local(ctx):
-        seg = ctx.world.segment_of(dest.rank)
+        seg = ctx.world.segments[dest.rank]
         return _local_put(
             ctx, disp, dest, seg.write_scalar, value, dest.ts.size
         )
@@ -162,7 +162,7 @@ def rput_bulk(values, dest: GlobalPtr, comps: Optional[Completions] = None):
     )
     nbytes = arr.size * dest.ts.size
     if dest.is_local(ctx):
-        seg = ctx.world.segment_of(dest.rank)
+        seg = ctx.world.segments[dest.rank]
         return _local_put(ctx, disp, dest, seg.write_array, arr, nbytes)
     # the payload is captured by value at injection (source completes now)
     return _remote_put(ctx, disp, dest, arr.copy(), nbytes)

@@ -75,8 +75,8 @@ class FeatureFlags:
         Operation-lifecycle observability (see :mod:`repro.obs`): every
         asynchronous operation records a span with phase timestamps
         (injected / transfer-complete / notification-dispatched /
-        waited), and the progress engine, conduit, and aggregator feed a
-        per-rank metrics registry.  Off by default on every build;
+        waited), and the progress engine samples its deferred-queue depth
+        at every entry.  Off by default on every build;
         recording charges no cost-model actions, so virtual timings are
         identical either way, and with the flag off ``RankContext.obs``
         stays ``None`` (one attribute check per site — zero cost).

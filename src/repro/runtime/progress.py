@@ -97,7 +97,6 @@ class ProgressEngine:
         obs = ctx.obs
         if obs is not None:
             obs.on_progress_enter(len(self._deferred), ctx.clock.now_ns)
-        dispatched = 0
         try:
             # publish destination-batched AMs before doing anything else:
             # progress entry is a flush point (covers barrier()/wait() too,
@@ -112,13 +111,11 @@ class ProgressEngine:
                     ctx.charge(_PROGRESS_DISPATCH)
                     thunk()
                     did_work = True
-                    dispatched += 1
                 while self._lpcs:
                     lpc = self._lpcs.popleft()
                     ctx.charge(_PROGRESS_DISPATCH)
                     lpc()
                     did_work = True
-                    dispatched += 1
                 # callbacks may have triggered AM sends back to ourselves
                 if ctx.conduit.poll(ctx):
                     did_work = True
@@ -129,6 +126,4 @@ class ProgressEngine:
                 did_work = True
         finally:
             self._in_progress = False
-        if obs is not None:
-            obs.on_progress_drained(dispatched)
         return did_work

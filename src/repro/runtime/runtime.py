@@ -153,9 +153,6 @@ class World:
     def same_node(self, a: int, b: int) -> bool:
         return self.node_of(a) == self.node_of(b)
 
-    def segment_of(self, rank: int) -> Segment:
-        return self.segments[rank]
-
     # -- barrier -------------------------------------------------------------
 
     def barrier(self, ctx: RankContext) -> None:

@@ -28,10 +28,9 @@ allocated when ``FeatureFlags.obs_spans`` is set: with observability off
 the request path performs one ``ctx.obs is None`` check and allocates
 nothing.
 
-Rank snapshots merge world-wide through
-:func:`repro.sim.stats.serve_snapshots` /
-:func:`repro.sim.stats.serve_stats` (the shared
-``gather_rank_snapshots`` walk).
+Rank snapshots are gathered by :func:`repro.sim.stats.serve_snapshots`
+(the shared ``gather_rank_snapshots`` walk) and merged world-wide by
+:func:`merge_serve_snapshots`.
 """
 
 from __future__ import annotations

@@ -220,17 +220,6 @@ def serve_snapshots(world: "World"):
     )
 
 
-def serve_stats(world: "World"):
-    """World-wide serving rollup (``None`` when the world never served):
-    counters summed, percentile sketches merged per phase/class."""
-    snaps = serve_snapshots(world)
-    if not snaps:
-        return None
-    from repro.serve.driver import merge_serve_snapshots
-
-    return merge_serve_snapshots(snaps)
-
-
 @dataclass(frozen=True)
 class AggregationStats:
     """World-wide AM-aggregation counters (summed over ranks).

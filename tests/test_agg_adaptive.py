@@ -133,7 +133,7 @@ class TestStats:
             conduit="ibv", flags=agg_flags(),
         )
         assert r.matches_oracle
-        assert r.agg_mean_parked_ns >= 0.0
+        assert r.agg_stats.mean_parked_ns >= 0.0
         assert r.agg_stats.entries_flushed == r.am_agg_entries
 
 

@@ -221,7 +221,7 @@ class TestCompletionGate:
                 assert ctx.am_agg.pending_entries(2) == 1
                 assert not fut.is_ready()
                 assert (
-                    ctx.world.segment_of(2).read_scalar(g.offset, g.ts) == 7
+                    ctx.world.segments[2].read_scalar(g.offset, g.ts) == 7
                 )
                 fut.wait()  # flush + round trip
                 out["ready"] = fut.is_ready()

@@ -3,7 +3,7 @@
 Every rendering/rollup surface must degrade gracefully when a run did
 nothing: no ``max()`` on an empty sequence, no division by a zero count,
 no validator error for a legitimately empty export.  Exercised both at
-the unit level (empty histograms and registries) and end to end (an SPMD
+the unit level (empty histograms) and end to end (an SPMD
 run whose body performs no communication, with observability enabled).
 """
 
@@ -14,11 +14,7 @@ from repro.bench.report import (
     format_span_timeline,
 )
 from repro.obs.export import chrome_trace, validate_trace_events
-from repro.obs.metrics import (
-    HistogramMetric,
-    MetricsRegistry,
-    merge_metrics,
-)
+from repro.obs.metrics import HistogramMetric, _merge_hist
 from repro.runtime.runtime import spmd_run
 from repro.sim.stats import observability_snapshots, observability_stats
 from tests.conftest import VD, obs_flags
@@ -43,20 +39,12 @@ class TestHistogramsEmpty:
     def test_fmt_hist_rows_empty(self):
         assert _fmt_hist_rows(HistogramMetric("h").snapshot()) == []
 
-    def test_merge_of_empty_registries(self):
-        merged = merge_metrics(
-            [MetricsRegistry().snapshot(), MetricsRegistry().snapshot()]
-        )
-        assert merged.counters == {}
-        assert merged.histograms == {}
-
     def test_merge_empty_with_nonempty(self):
-        reg = MetricsRegistry()
-        reg.histogram("x").record(5.0)
-        merged = merge_metrics(
-            [MetricsRegistry().snapshot(), reg.snapshot()]
-        )
-        assert merged.histograms["x"].n == 1
+        h = HistogramMetric("x")
+        h.record(5.0)
+        merged = _merge_hist(HistogramMetric("x").snapshot(), h.snapshot())
+        assert merged.n == 1
+        assert merged.min == merged.max == 5.0
 
     def test_format_bars_empty_series(self):
         text = format_bars("t", [])

@@ -71,6 +71,28 @@ class TestTools:
         assert "heap_alloc_promise_cell" in proc.stdout
         assert "2021.3.6-eager" in proc.stdout
 
+    def test_diagnose_json(self):
+        """``--json``: one document, a receipt per (op, build), no
+        ``counters`` key (the ``costs`` rows are the action counts), and
+        each receipt's costs summing to its elapsed virtual ns."""
+        import json
+
+        tools = Path(__file__).parent.parent / "tools"
+        proc = subprocess.run(
+            [sys.executable, str(tools / "diagnose.py"), "--json", "intel"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-1000:]
+        doc = json.loads(proc.stdout)
+        assert doc["machine"] == "intel"
+        receipts = doc["ops"]
+        assert len(receipts) == 8  # 4 ops x 2 builds
+        for r in receipts:
+            assert "counters" not in r
+            assert sum(c["cost_ns"] for c in r["costs"]) == r["elapsed_ns"]
+
     def test_diagnose_receipts_account_for_every_ns(self):
         """Each receipt's rows sum exactly to the op's elapsed virtual ns
         (costs sit on the 2^-20 ns grid, so the float sum is exact), and

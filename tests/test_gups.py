@@ -293,7 +293,7 @@ class TestDeferredPathCallCount:
     wall-clock floor would depend on the runner; this count does not."""
 
     #: calls per update this path makes now (a ceiling, not a target)
-    MAX_CALLS_PER_UPDATE = 131.2
+    MAX_CALLS_PER_UPDATE = 128.2
 
     def test_calls_per_update(self):
         version = Version.V2021_3_6_DEFER

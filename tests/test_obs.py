@@ -1,4 +1,4 @@
-"""The observability layer: spans, metrics, exporters, and — most
+"""The observability layer: spans, histograms, exporters, and — most
 importantly — the paper's notification-gap claims pinned as *ordering*
 assertions on spans rather than timing heuristics.
 
@@ -15,6 +15,7 @@ The load-bearing tests:
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,17 +23,15 @@ from repro import new_, operation_cx, rput
 from repro.obs import (
     DEPTH_EDGES,
     LATENCY_EDGES_NS,
-    CounterMetric,
     HistogramMetric,
-    MetricsRegistry,
     SpanRecorder,
     chrome_trace,
-    merge_metrics,
     merge_obs_snapshots,
     trace_events,
     validate_trace_events,
     write_chrome_trace,
 )
+from repro.obs.metrics import _merge_hist
 from repro.rma import rget
 from repro.runtime.runtime import spmd_run
 from repro.sim.costmodel import CostAction
@@ -44,19 +43,15 @@ from repro.sim.stats import (
 
 from tests.conftest import VD, VE, obs_flags
 
+RESULTS = Path(__file__).parent.parent / "benchmarks" / "results"
+
 
 # ---------------------------------------------------------------------------
-# metrics primitives
+# histogram primitives
 # ---------------------------------------------------------------------------
 
 
 class TestMetrics:
-    def test_counter(self):
-        c = CounterMetric("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-
     def test_histogram_bucketing(self):
         h = HistogramMetric("h", (0.0, 10.0, 100.0))
         h.record(0.0)  # exactly zero -> first bucket
@@ -78,32 +73,25 @@ class TestMetrics:
         with pytest.raises(ValueError):
             HistogramMetric("h", (2.0, 1.0))
 
-    def test_registry_lazy_and_stable(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.histogram("b") is reg.histogram("b")
-        reg.counter("a").inc(3)
-        snap = reg.snapshot()
-        assert snap.counters == {"a": 3}
-
     def test_merge_metrics(self):
-        r1, r2 = MetricsRegistry(), MetricsRegistry()
-        r1.counter("c").inc(2)
-        r2.counter("c").inc(5)
-        r1.histogram("h", DEPTH_EDGES).record(1)
-        r2.histogram("h", DEPTH_EDGES).record(100)
-        m = merge_metrics([r1.snapshot(), r2.snapshot()])
-        assert m.counters["c"] == 7
-        assert m.histograms["h"].n == 2
-        assert m.histograms["h"].min == 1.0
-        assert m.histograms["h"].max == 100.0
+        h1 = HistogramMetric("h", DEPTH_EDGES)
+        h2 = HistogramMetric("h", DEPTH_EDGES)
+        h1.record(1)
+        h2.record(100)
+        h2.record(1)
+        m = _merge_hist(h1.snapshot(), h2.snapshot())
+        assert m.counts == tuple(a + b for a, b in zip(h1.counts, h2.counts))
+        assert m.n == 3 and m.total == 102.0
+        assert m.min == 1.0
+        assert m.max == 100.0
 
     def test_merge_rejects_mismatched_edges(self):
-        r1, r2 = MetricsRegistry(), MetricsRegistry()
-        r1.histogram("h", (0.0, 1.0)).record(0)
-        r2.histogram("h", (0.0, 2.0)).record(0)
+        h1 = HistogramMetric("h", (0.0, 1.0))
+        h2 = HistogramMetric("h", (0.0, 2.0))
+        h1.record(0)
+        h2.record(0)
         with pytest.raises(ValueError):
-            merge_metrics([r1.snapshot(), r2.snapshot()])
+            _merge_hist(h1.snapshot(), h2.snapshot())
 
 
 class TestSpanRecorder:
@@ -225,8 +213,7 @@ class TestWorldRollup:
         assert ge.count == 8 and ge.zeros == 8 and ge.mean_ns == 0.0
         assert gd.count == 8 and gd.zeros == 0 and gd.mean_ns > 0.0
         # the deferred world actually sampled its progress queue
-        depth = sd.metrics.histograms["progress.deferred_depth"]
-        assert depth.n > 0
+        assert sd.depth.n > 0
 
     def test_waited_gap_rollup_populated(self):
         """Every defer put in the body is waited, so the waited-gap
@@ -388,6 +375,57 @@ class TestTracedHarness:
         snaps = observability_snapshots(res.world)
         timeline = format_span_timeline(snaps, limit=5)
         assert "rput" in timeline
+
+    def test_report_matches_committed_trace_report(self):
+        """``benchmarks/results/gups_trace_report.txt`` rebuilt in memory
+        with the config of ``benchmarks/test_traced_gups.py``, byte for
+        byte.  The committed file is only read."""
+        from repro.apps.gups import GupsConfig
+        from repro.bench.harness import traced_gups
+        from repro.bench.report import format_notification_report
+
+        cfg = GupsConfig(variant="rma_promise", table_log2=10,
+                         updates_per_rank=48, batch=16)
+        defer, eager = (traced_gups(cfg, ranks=4, version=v, machine="intel")
+                        for v in (VD, VE))
+        text = format_notification_report(
+            "GUPS rma_promise on intel, 4 ranks, defer vs eager "
+            "[notification gaps]",
+            defer.obs_stats,
+        ) + "\n\n" + format_notification_report(
+            "same config, eager", eager.obs_stats
+        ) + "\n"
+        committed = RESULTS / "gups_trace_report.txt"
+        assert text.encode() == committed.read_bytes()
+
+    @pytest.mark.parametrize(
+        "version, variant, n_nodes, conduit, aggregation",
+        [
+            (VD, "rma_promise", 1, None, False),
+            (VE, "rma_promise", 1, None, False),
+            (VE, "agg", 2, "udp", True),
+        ],
+        ids=["defer_smp", "eager_smp", "agg_2node"],
+    )
+    def test_depth_record_counts_every_progress_poll(
+        self, version, variant, n_nodes, conduit, aggregation
+    ):
+        """One depth sample per ``progress()`` entry: the rollup's depth
+        histogram holds exactly the world's ``PROGRESS_POLL`` count."""
+        from repro.apps.gups import GupsConfig
+        from repro.bench.harness import traced_gups
+        from repro.runtime.config import flags_for
+
+        res = traced_gups(
+            GupsConfig(variant=variant, table_log2=10, updates_per_rank=48,
+                       batch=16),
+            ranks=4, version=version, machine="intel", conduit=conduit,
+            n_nodes=n_nodes,
+            flags=flags_for(version).replace(am_aggregation=aggregation),
+        )
+        assert res.progress_polls > 0
+        assert res.obs_stats.depth.n == res.progress_polls
+        assert (res.am_bundles > 0) == aggregation
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ class TestWorldAccounting:
     def test_segment_of_matches_context(self):
         world = build_world(RuntimeConfig(), ranks=3)
         for r in range(3):
-            assert world.segment_of(r) is world.contexts[r].segment
+            assert world.segments[r] is world.contexts[r].segment
 
     def test_shared_ready_cell_is_world_global(self):
         world = build_world(RuntimeConfig(), ranks=2)

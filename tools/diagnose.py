@@ -19,9 +19,8 @@ Usage::
 
     python tools/diagnose.py [machine] [--json]
 
-``--json`` emits one machine-readable document (per-op spans, gap,
-cost receipt, and the rank's metrics counters) instead of the text
-report.
+``--json`` emits one machine-readable document (per-op spans, gap and
+cost receipt) instead of the text report.
 """
 
 import argparse
@@ -105,7 +104,6 @@ def diagnose(version: Version, machine: str, op: str) -> dict:
                 "notification_gap_ns": span.notification_gap_ns,
             },
             "costs": costs,
-            "counters": dict(ctx.obs.metrics.snapshot().counters),
         }
     finally:
         set_current_ctx(None)

@@ -69,6 +69,8 @@ class DistributedHashMap:
         self.local_part = new_array("u64", 2 * self.per_rank, fill=_EMPTY)
         self.ad = AtomicDomain({"compare_exchange"}, "u64")
         self.bases: list[GlobalPtr] = []
+        #: slot -> its (key, value) pointers, kept once probed
+        self._ptrs: dict[int, tuple[GlobalPtr, GlobalPtr]] = {}
 
     def attach(self) -> None:
         """Resolve every rank's base pointer (lock-step allocation)."""
@@ -80,10 +82,12 @@ class DistributedHashMap:
     # -- slot addressing ---------------------------------------------------
 
     def _slot_ptrs(self, slot: int) -> tuple[GlobalPtr, GlobalPtr]:
-        rank = slot // self.per_rank
-        off = slot % self.per_rank
-        base = self.bases[rank]
-        return base + 2 * off, base + 2 * off + 1
+        ptrs = self._ptrs.get(slot)
+        if ptrs is None:
+            rank, off = divmod(slot, self.per_rank)
+            kptr = self.bases[rank] + 2 * off
+            ptrs = self._ptrs[slot] = (kptr, kptr + 1)
+        return ptrs
 
     def _home_slot(self, key: int) -> int:
         return _mix(key) & (self.n_slots - 1)

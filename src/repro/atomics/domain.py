@@ -113,6 +113,42 @@ def _apply(op: str, old, operand, operand2, ts: TypeSpec):
     return new, old
 
 
+def _amo_request(tctx, pending, op, target, operand, operand2, result_ref,
+                 produces_value, initiator) -> None:
+    """Owner side of an off-node AMO: apply, reply with the value.  The AM
+    handlers take their state as AM arguments, so a round trip allocates
+    no closure."""
+    ts = target.ts
+    seg = tctx.world.segments[target.rank]
+    tctx.charge(_CPU_ATOMIC_RMW)
+    peers = tctx.world.ranks_per_node - 1
+    if peers > 0:
+        tctx.charge(_AMO_CONTENTION_PER_PEER, peers)
+    old = seg.read_scalar(target.offset, ts)
+    new, fetched = _apply(op, old, operand, operand2, ts)
+    if new is not None and op != "load":
+        seg.write_scalar(target.offset, ts, new)
+    tctx.conduit.send_am(
+        tctx, initiator, _amo_reply,
+        (pending, result_ref, produces_value, fetched),
+        nbytes=ts.size, label="amo_reply",
+    )
+
+
+def _amo_reply(ictx, pending, result_ref, produces_value, fetched) -> None:
+    """Initiator side: land or deliver the fetched value, complete."""
+    if result_ref is not None:
+        ictx.charge(_CPU_STORE)
+        result_ref.segment.write_scalar(
+            result_ref.offset, result_ref.ts, fetched
+        )
+        pending.complete(())
+    elif produces_value:
+        pending.complete((fetched,))
+    else:
+        pending.complete(())
+
+
 class AtomicDomain:
     """A set of atomic operations over one element type.
 
@@ -249,41 +285,14 @@ class AtomicDomain:
     ):
         """Off-node AMO: executed by the owner via AM, value in the reply."""
         pending = disp.pend(_OPERATION)
-        initiator = ctx.rank
-        ts = target.ts
-
-        def on_target(tctx):
-            seg = tctx.world.segments[target.rank]
-            tctx.charge(_CPU_ATOMIC_RMW)
-            peers = tctx.world.ranks_per_node - 1
-            if peers > 0:
-                tctx.charge(_AMO_CONTENTION_PER_PEER, peers)
-            old = seg.read_scalar(target.offset, ts)
-            new, fetched = _apply(op, old, operand, operand2, ts)
-            if new is not None and op != "load":
-                seg.write_scalar(target.offset, ts, new)
-
-            def on_reply(ictx, fetched=fetched):
-                if result_ref is not None:
-                    ictx.charge(_CPU_STORE)
-                    result_ref.segment.write_scalar(
-                        result_ref.offset, result_ref.ts, fetched
-                    )
-                    pending.complete(())
-                elif produces_value:
-                    pending.complete((fetched,))
-                else:
-                    pending.complete(())
-
-            tctx.conduit.send_am(
-                tctx, initiator, on_reply, nbytes=ts.size, label="amo_reply"
-            )
-
+        size = target.ts.size
         ctx.conduit.send_am(
-            ctx, target.rank, on_target, nbytes=ts.size, label="amo_req",
-            aggregatable=True,
+            ctx, target.rank, _amo_request,
+            (pending, op, target, operand, operand2, result_ref,
+             produces_value, ctx.rank),
+            nbytes=size, label="amo_req", aggregatable=True,
         )
-        disp.mark_injected(target.rank, ts.size, local=False)
+        disp.mark_injected(target.rank, size, local=False)
         return disp.result()
 
     @staticmethod

@@ -110,7 +110,7 @@ def cmd_offnode(args) -> None:
 
 def cmd_trace(args) -> None:
     from repro.apps.gups import GupsConfig
-    from repro.runtime.config import Version
+    from repro.runtime.config import Version, flags_for
 
     version = Version(args.version)
     cfg = GupsConfig(
@@ -119,17 +119,25 @@ def cmd_trace(args) -> None:
         updates_per_rank=args.updates,
         batch=args.batch,
     )
+    regime, where = {}, ""
+    if args.variant == "agg":
+        # the variant's regime: off node with aggregation on, the shape
+        # of perfbench's gups_offnode_agg (on one node nothing bundles)
+        regime = dict(conduit="ibv", n_nodes=2,
+                      flags=flags_for(version).replace(am_aggregation=True))
+        where = ", 2 nodes over ibv, aggregation on"
     res = traced_gups(
         cfg,
         ranks=args.ranks,
         version=version,
         machine=args.machine,
         trace_path=args.out,
+        **regime,
     )
     print(
         format_notification_report(
-            f"GUPS {args.variant} on {args.machine}, {args.ranks} ranks, "
-            f"{version.value} [obs spans]",
+            f"GUPS {args.variant} on {args.machine}, {args.ranks} ranks"
+            f"{where}, {version.value} [obs spans]",
             res.obs_stats,
         )
     )

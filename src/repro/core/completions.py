@@ -49,7 +49,6 @@ off the factories raise and every existing path is untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.cell import alloc_cell, ready_cell, ready_unit_cell
@@ -373,7 +372,6 @@ class CxCounter:
         )
 
 
-@dataclass
 class PendingEvent:
     """Handle for completing an asynchronous (off-node) event later.
 
@@ -382,11 +380,17 @@ class PendingEvent:
     operation finishes.
     """
 
-    ctx: "RankContext"
-    requests: list[CompletionRequest]
-    cells: list = field(default_factory=list)  # parallel to future requests
-    #: operation span whose notification this event closes (obs only)
-    span: Optional["OpSpan"] = None
+    __slots__ = ("ctx", "requests", "cells", "span")
+
+    def __init__(self, ctx: "RankContext",
+                 requests: list[CompletionRequest],
+                 span: Optional["OpSpan"] = None):
+        self.ctx = ctx
+        self.requests = requests
+        #: promise cells, parallel to the future requests
+        self.cells: list = []
+        #: operation span whose notification this event closes (obs only)
+        self.span = span
 
     def complete(self, values: tuple = ()) -> None:
         span = self.span

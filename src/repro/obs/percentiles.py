@@ -154,6 +154,27 @@ class PercentileSketch:
         )
 
 
+def record_pair(
+    first: PercentileSketch, second: PercentileSketch, value: float
+) -> None:
+    """``first.record(value); second.record(value)`` with one ``log``
+    (the sketches must share ``rel_err``, so the bucket is the same)."""
+    v = float(value)
+    index = None if v <= 0.0 else math.ceil(math.log(v) / first._log_gamma)
+    for sk in (first, second):
+        sk.n += 1
+        sk.total += v
+        if sk.min is None or v < sk.min:
+            sk.min = v
+        if sk.max is None or v > sk.max:
+            sk.max = v
+        if index is None:
+            sk.zero_count += 1
+        else:
+            buckets = sk._buckets
+            buckets[index] = buckets.get(index, 0) + 1
+
+
 def merge_percentiles(
     snapshots: Iterable[PercentileSnapshot],
 ) -> PercentileSnapshot:

@@ -156,7 +156,7 @@ def rget_bulk(src: GlobalPtr, count: int, comps: Optional[Completions] = None):
         )
         disp.notify_sync(_OPERATION, (data,))
         return disp.result()
-    return _remote_get(ctx, disp, src, count=count, dest=None, bulk=True)
+    return _remote_get(ctx, disp, src, count=count, dest=None)
 
 
 def _resolve_dest(ctx, dest: Union[GlobalPtr, LocalRef]) -> LocalRef:
@@ -175,7 +175,7 @@ def _resolve_dest(ctx, dest: Union[GlobalPtr, LocalRef]) -> LocalRef:
     raise TypeError("rget_into dest must be a GlobalPtr or LocalRef")
 
 
-def _remote_get(ctx, disp, src: GlobalPtr, *, count, dest, bulk=False):
+def _remote_get(ctx, disp, src: GlobalPtr, *, count, dest):
     """Off-node request/reply; the reply carries the data."""
     if ctx.flags.eager_notification:
         ctx.charge(_LOCALITY_BRANCH)  # the one extra branch
@@ -183,36 +183,38 @@ def _remote_get(ctx, disp, src: GlobalPtr, *, count, dest, bulk=False):
     ctx.charge(_HEAP_FREE)
     disp.notify_sync(_SOURCE)
     pending = disp.pend(_OPERATION)
-    initiator = ctx.rank
-    n = count or 1
-    nbytes = n * src.ts.size
-
-    def on_target(tctx):
-        seg = tctx.world.segments[src.rank]
-        if count is None:
-            tctx.charge(_CPU_LOAD)
-            data = seg.read_scalar(src.offset, src.ts)
-        else:
-            tctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
-            data = seg.read_array(src.offset, src.ts, count)
-
-        def on_reply(ictx, data=data):
-            if dest is not None:
-                dest.segment.write_array(dest.offset, dest.ts, data)
-                ictx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
-                pending.complete(())
-            elif count is None:
-                pending.complete((data,))
-            else:
-                pending.complete((data,))
-
-        tctx.conduit.send_am(
-            tctx, initiator, on_reply, nbytes=nbytes, label="get_reply"
-        )
-
+    nbytes = (count or 1) * src.ts.size
     ctx.conduit.send_am(
-        ctx, src.rank, on_target, nbytes=0, label="get_req",
-        aggregatable=True,
+        ctx, src.rank, _get_request,
+        (pending, src, count, dest, nbytes, ctx.rank),
+        nbytes=0, label="get_req", aggregatable=True,
     )
     disp.mark_injected(src.rank, nbytes, local=False)
     return disp.result()
+
+
+def _get_request(tctx, pending, src: GlobalPtr, count, dest, nbytes: int,
+                 initiator: int) -> None:
+    """Target side: read, reply with the data.  The AM handlers take their
+    state as AM arguments, so a round trip allocates no closure."""
+    seg = tctx.world.segments[src.rank]
+    if count is None:
+        tctx.charge(_CPU_LOAD)
+        data = seg.read_scalar(src.offset, src.ts)
+    else:
+        tctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
+        data = seg.read_array(src.offset, src.ts, count)
+    tctx.conduit.send_am(
+        tctx, initiator, _get_reply, (pending, dest, data, nbytes),
+        nbytes=nbytes, label="get_reply",
+    )
+
+
+def _get_reply(ictx, pending, dest, data, nbytes: int) -> None:
+    """Initiator side: land the data (``rget_into``) and complete."""
+    if dest is None:
+        pending.complete((data,))
+        return
+    dest.segment.write_array(dest.offset, dest.ts, data)
+    ictx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
+    pending.complete(())

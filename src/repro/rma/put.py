@@ -90,36 +90,40 @@ def _remote_put(ctx, disp: CxDispatcher, dest: GlobalPtr, payload, nbytes: int):
         disp.notify_sync(_SOURCE)  # payload captured at injection
     pending = disp.pend(_OPERATION)
     rpc_reqs = disp.rpc_requests() if disp.wants_remote else ()
-    initiator = ctx.rank
-
-    def on_target(tctx, dest=dest, payload=payload):
-        # the exact-type test spares an int or float the np.ndim call
-        if type(payload) in _SCALAR_TYPES or np.ndim(payload) == 0:
-            tctx.world.segments[dest.rank].write_scalar(
-                dest.offset, dest.ts, payload
-            )
-            tctx.charge(_MEMCPY_8B)
-        else:
-            tctx.world.segments[dest.rank].write_array(
-                dest.offset, dest.ts, payload
-            )
-            tctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
-        for req in rpc_reqs:
-            req.fn(*req.args)
-        tctx.conduit.send_am(
-            tctx,
-            initiator,
-            lambda ictx: pending.complete(()),
-            nbytes=0,
-            label="put_ack",
-        )
-
     ctx.conduit.send_am(
-        ctx, dest.rank, on_target, nbytes=nbytes, label="put_req",
-        aggregatable=True,
+        ctx, dest.rank, _put_request,
+        (pending, dest, payload, nbytes, rpc_reqs, ctx.rank),
+        nbytes=nbytes, label="put_req", aggregatable=True,
     )
     disp.mark_injected(dest.rank, nbytes, local=False)
     return disp.result()
+
+
+def _put_request(tctx, pending, dest: GlobalPtr, payload, nbytes: int,
+                 rpc_reqs, initiator: int) -> None:
+    """Target side: write, run remote completions, ack.  The AM handlers
+    take their state as AM arguments, so a round trip allocates no
+    closure."""
+    # the exact-type test spares an int or float the np.ndim call
+    if type(payload) in _SCALAR_TYPES or np.ndim(payload) == 0:
+        tctx.world.segments[dest.rank].write_scalar(
+            dest.offset, dest.ts, payload
+        )
+        tctx.charge(_MEMCPY_8B)
+    else:
+        tctx.world.segments[dest.rank].write_array(
+            dest.offset, dest.ts, payload
+        )
+        tctx.charge_bytes(_MEMCPY_PER_BYTE, nbytes)
+    for req in rpc_reqs:
+        req.fn(*req.args)
+    tctx.conduit.send_am(
+        tctx, initiator, _put_ack, (pending,), nbytes=0, label="put_ack"
+    )
+
+
+def _put_ack(ictx, pending) -> None:
+    pending.complete(())
 
 
 def rput(value, dest: GlobalPtr, comps: Optional[Completions] = None):

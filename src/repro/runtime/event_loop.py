@@ -60,6 +60,7 @@ from repro.errors import DeadlockError, SchedulerError
 from repro.runtime.context import current_ctx_or_none, set_current_ctx
 from repro.runtime.switchpoints import (
     BlockUntil,
+    IdleUntil,
     SwitchCommand,
     YIELD_NOW,
     run_blocking,
@@ -237,6 +238,8 @@ class EventLoopScheduler:
         self.switches = 0
         self._tasks: list = [None] * nranks
         self._results: list = [None] * nranks
+        #: the IdleUntil each ready rank last yielded, until it is resumed
+        self._idle: list[Optional[IdleUntil]] = [None] * nranks
         self._contexts: Optional[list] = None
         # -- wake-list state (all bitmasks are over rank numbers) ----------
         self._wake_list = wake_list
@@ -333,11 +336,28 @@ class EventLoopScheduler:
     def _drive(self, contexts) -> None:
         states = self._states
         tasks = self._tasks
+        idles = self._idle
         trace = self._switch_trace
         cur = 0
         throw: Optional[BaseException] = None
         bound = -1  # rank whose ctx is bound to the loop thread's TLS
         while True:
+            idle = idles[cur]
+            if idle is not None:
+                # the idle loop's turn, run here if it polls nothing and
+                # moves the clock; else the body repeats both checks
+                ctx = contexts[cur]
+                if not ctx.has_incoming() and ctx.clock.advance_slice(
+                    idle.until_ns, idle.slice_ns
+                ):
+                    if trace is not None:
+                        trace.append(("yield", cur))
+                    nxt = self._pick_next(cur, include_self=False)
+                    if nxt is not None and nxt != cur:
+                        self.switches += 1
+                        cur = nxt
+                    continue
+                idles[cur] = None
             task = tasks[cur]
             if task.kind == "gen" and bound != cur:
                 set_current_ctx(contexts[cur])
@@ -363,7 +383,9 @@ class EventLoopScheduler:
                         return
                     self.switches += 1
                     cur = nxt
-                else:  # YieldNow
+                else:  # YieldNow or IdleUntil
+                    if type(cmd) is IdleUntil:
+                        idles[cur] = cmd
                     if trace is not None:
                         trace.append(("yield", cur))
                     nxt = self._pick_next(cur, include_self=False)
@@ -403,6 +425,7 @@ class EventLoopScheduler:
             self._blocked -= 1
             self._unregister_wake(rank)
         self._states[rank] = _DONE
+        self._idle[rank] = None
         self._ready_mask &= ~(1 << rank)
         self._preds[rank] = None
 

@@ -97,11 +97,13 @@ class ProgressEngine:
         obs = ctx.obs
         if obs is not None:
             obs.on_progress_enter(len(self._deferred), ctx.clock.now_ns)
+        # without an aggregator both flushes below are no-ops
+        aggregating = ctx.am_agg is not None
         try:
             # publish destination-batched AMs before doing anything else:
             # progress entry is a flush point (covers barrier()/wait() too,
             # which drive their waits through this method)
-            if ctx.flush_aggregation(reason="progress_entry"):
+            if aggregating and ctx.flush_aggregation(reason="progress_entry"):
                 did_work = True
             if ctx.conduit.poll(ctx):
                 did_work = True
@@ -122,7 +124,7 @@ class ProgressEngine:
             # handlers run during the drain may have buffered new
             # aggregatable AMs; flush before returning so nothing is
             # stranded while this rank blocks (e.g. inside a barrier)
-            if ctx.flush_aggregation(reason="progress_exit"):
+            if aggregating and ctx.flush_aggregation(reason="progress_exit"):
                 did_work = True
         finally:
             self._in_progress = False

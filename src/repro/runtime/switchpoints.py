@@ -74,6 +74,23 @@ class YieldNow(SwitchCommand):
 YIELD_NOW = YieldNow()
 
 
+class IdleUntil(SwitchCommand):
+    """A :class:`YieldNow` from an idle loop whose every turn is ``if
+    ctx.has_incoming(): ctx.progress()``, then ``clock.advance_slice(
+    until_ns, slice_ns)``, yielding again while that moves the clock.
+
+    The event loop runs a turn that polls nothing and moves the clock
+    itself (same clock, same trace entries) and resumes the body for any
+    other; :func:`run_blocking` treats it as :data:`YIELD_NOW`.
+    """
+
+    __slots__ = ("until_ns", "slice_ns")
+
+    def __init__(self, until_ns: float, slice_ns: float):
+        self.until_ns = until_ns
+        self.slice_ns = slice_ns
+
+
 def run_blocking(ctx, gen):
     """Drive a switch-command generator to completion through blocking
     primitives (on a shim thread, or in the ambient world); return the
@@ -90,7 +107,7 @@ def run_blocking(ctx, gen):
             try:
                 if type(cmd) is BlockUntil:
                     ctx.block_until(cmd.wake_when, cmd.wake)
-                elif type(cmd) is YieldNow:
+                elif type(cmd) is YieldNow or type(cmd) is IdleUntil:
                     ctx.yield_to_others()
                 else:
                     raise SchedulerError(

@@ -46,10 +46,11 @@ from repro.obs.percentiles import (
     PercentileSketch,
     PercentileSnapshot,
     merge_percentiles,
+    record_pair,
 )
 from repro.runtime.config import Version
 from repro.runtime.runtime import spmd_run
-from repro.runtime.switchpoints import YIELD_NOW
+from repro.runtime.switchpoints import IdleUntil
 from repro.serve.workload import (
     ServeConfig,
     build_schedule,
@@ -96,7 +97,7 @@ class ServeRankObs:
     """
 
     __slots__ = ("rank", "rel_err", "n", "missing", "slo_misses",
-                 "by_op", "_sketches")
+                 "by_op", "_sketches", "_by_class")
 
     def __init__(self, rank: int, rel_err: float = DEFAULT_REL_ERR):
         self.rank = rank
@@ -106,6 +107,8 @@ class ServeRankObs:
         self.slo_misses = 0
         self.by_op: dict[str, int] = {}
         self._sketches: dict[str, PercentileSketch] = {}
+        #: kclass -> its (all, class) sketch of each phase, in PHASES order
+        self._by_class: dict[str, tuple] = {}
 
     def _sketch(self, phase: str, kclass: str) -> PercentileSketch:
         key = sketch_key(phase, kclass)
@@ -133,13 +136,18 @@ class ServeRankObs:
             self.missing += 1
         if slo_missed:
             self.slo_misses += 1
-        for phase, v in (
-            ("total", total_ns),
-            ("queue", queue_ns),
-            ("service", service_ns),
-        ):
-            self._sketch(phase, "all").record(v)
-            self._sketch(phase, kclass).record(v)
+        sketches = self._by_class.get(kclass)
+        if sketches is None:
+            # created in the order the per-phase records first touch them
+            sketches = self._by_class[kclass] = tuple(
+                self._sketch(phase, c)
+                for phase in PHASES
+                for c in ("all", kclass)
+            )
+        total_all, total_k, queue_all, queue_k, svc_all, svc_k = sketches
+        record_pair(total_all, total_k, total_ns)
+        record_pair(queue_all, queue_k, queue_ns)
+        record_pair(svc_all, svc_k, service_ns)
 
     def snapshot(self) -> ServeRankSnapshot:
         return ServeRankSnapshot(
@@ -257,17 +265,14 @@ def _serve_body_gen(cfg: ServeConfig):
         # idle server is a *polling* server: advance in idle_poll_ns
         # slices, servicing incoming AMs between slices, so remote
         # requests for this rank's shard are not stranded until its own
-        # next arrival.
+        # next arrival.  The scheduler runs the turns that find nothing
+        # to do (see IdleUntil); this loop runs the ones that poll or admit.
         while True:
             if ctx.has_incoming():
                 ctx.progress()
-            before = clock.now_ns
-            if before >= t_arrival:
-                break
-            now = clock.advance_to(min(t_arrival, before + cfg.idle_poll_ns))
-            if now == before:
-                break  # quantum under grid resolution; arrival handles it
-            yield YIELD_NOW
+            if not clock.advance_slice(t_arrival, cfg.idle_poll_ns):
+                break  # at the arrival, or a slice under grid resolution
+            yield IdleUntil(t_arrival, cfg.idle_poll_ns)
         t_admit = clock.advance_to(t_arrival)
         span = None
         sid0 = 0

@@ -110,6 +110,22 @@ class VirtualClock:
             self._units = units
         return self._units * _INV_UNITS
 
+    def advance_slice(self, until_ns: float, slice_ns: float) -> bool:
+        """One idle-polling slice: :meth:`advance_to` ``min(until_ns, now +
+        slice_ns)``.  Returns whether the clock moved; it does not once it
+        has reached ``until_ns`` or the slice is under the grid."""
+        hook = self._flush_hook
+        if hook is not None:
+            hook()
+        before = self._units * _INV_UNITS
+        if before >= until_ns:
+            return False
+        units = round(min(until_ns, before + slice_ns) * UNITS_PER_NS)
+        if units > self._units:
+            self._units = units
+            return True
+        return False
+
     # -- phase marks -----------------------------------------------------
 
     def mark(self, name: str) -> None:

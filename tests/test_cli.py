@@ -186,3 +186,25 @@ class TestSubprocess:
                        "--samples", "1")
         assert proc.returncode == 0
         assert "Figure 3" in proc.stdout
+
+    def test_trace_agg_runs_off_node(self, tmp_path):
+        """``trace --variant agg`` traces the variant's regime, two nodes
+        over ibv with aggregation on: its AMs bundle and its spans
+        leave the node (on one smp node nothing bundles)."""
+        import re
+
+        from repro.obs import validate_trace_events
+
+        out = tmp_path / "agg.trace.json"
+        proc = run_cli("trace", "--variant", "agg", "--updates", "16",
+                       "--out", str(out))
+        assert proc.returncode == 0, proc.stderr[-1000:]
+        traffic = re.search(r"AM traffic: (\d+) injected, (\d+) bundles",
+                            proc.stdout)
+        assert traffic is not None, proc.stdout
+        assert int(traffic.group(2)) > 0
+        doc = json.loads(out.read_text())
+        assert validate_trace_events(doc) == []
+        events = doc["traceEvents"] if isinstance(doc, dict) else doc
+        assert any(ev.get("cat") == "none,offnode" for ev in events)
+        assert "2 nodes over ibv, aggregation on" in proc.stdout
